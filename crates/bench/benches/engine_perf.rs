@@ -1,5 +1,6 @@
 //! Benchmark of the simulator substrate itself: host-side throughput of
-//! the event loop, channels, and the full VMMC send path. (All other
+//! the event loop, channels, the full VMMC send path, and the per-access
+//! layers under it: translated memory reads and OPT lookups. (All other
 //! bench targets report *simulated* time; this one keeps an eye on how
 //! fast the reproduction runs on the host.)
 //!
@@ -10,6 +11,10 @@
 //! used `sample_size(10)`, matching the harness default of 10 iterations.
 
 use shrimp_core::{Cluster, DesignConfig};
+use shrimp_mem::{AddressSpace, NodeMem, Vaddr, PAGE_SIZE};
+use shrimp_net::NodeId;
+use shrimp_nic::tables::{PageTables, PROXY_INDEX_BASE};
+use shrimp_nic::OptEntry;
 use shrimp_sim::{time, Sim};
 use shrimp_testkit::bench::{black_box, Harness};
 
@@ -61,10 +66,68 @@ fn vmmc_1k_page_sends() -> u64 {
     cluster.run_until_complete(vec![h]).0
 }
 
+/// A 64-page address space whose even pages hold data and whose odd pages
+/// were never written.
+fn half_written_space() -> (AddressSpace, Vaddr) {
+    let space = AddressSpace::new(NodeMem::new());
+    let base = space.alloc(64);
+    for page in (0..64).step_by(2) {
+        space.write_raw(base.add((page * PAGE_SIZE) as u64), &[0xA5; PAGE_SIZE]);
+    }
+    (space, base)
+}
+
+/// Every word of the space through `AddressSpace::read_u64`: 32 768
+/// translated reads, half of them of never-written pages.
+fn mem_translated_reads(space: &AddressSpace, base: Vaddr) -> u64 {
+    (0..(64 * PAGE_SIZE as u64) / 8).fold(0u64, |acc, w| {
+        acc.wrapping_add(space.read_u64(base.add(w * 8)))
+    })
+}
+
+/// OPT tables with 64 own-page entries (every other page of 128) and 64
+/// proxy entries.
+fn populated_opt() -> PageTables {
+    let t = PageTables::new();
+    let entry = |page| OptEntry {
+        dst_node: NodeId(1),
+        dst_page: page,
+        au_enable: true,
+        combine: false,
+        interrupt: false,
+    };
+    for page in (1..=128).step_by(2) {
+        t.opt_set(page, entry(page));
+    }
+    let proxy = t.alloc_proxy_range(64);
+    for i in 0..64 {
+        t.opt_set(proxy + i, entry(i));
+    }
+    t
+}
+
+/// 100 sweeps of `opt_get` over the 128 own-page indices (half of them
+/// misses) and the 64 proxy indices: 19 200 lookups.
+fn nic_opt_lookups(t: &PageTables) -> u64 {
+    let mut hits = 0u64;
+    for _ in 0..100 {
+        for index in (1..=128).chain(PROXY_INDEX_BASE..PROXY_INDEX_BASE + 64) {
+            hits += t.opt_get(black_box(index)).map_or(0, |e| e.dst_page & 1);
+        }
+    }
+    hits
+}
+
 fn main() {
     let mut h = Harness::new("engine_perf");
     h.bench("sim_10k_sleep_events", || black_box(sim_10k_sleep_events()));
     h.bench("queue_10k_messages", || black_box(queue_10k_messages()));
     h.bench("vmmc_1k_page_sends", || black_box(vmmc_1k_page_sends()));
+    let (space, base) = half_written_space();
+    h.bench("mem_translated_reads", || {
+        black_box(mem_translated_reads(&space, base))
+    });
+    let opt = populated_opt();
+    h.bench("nic_opt_lookups", || black_box(nic_opt_lookups(&opt)));
     h.finish();
 }

@@ -10,9 +10,12 @@
 //! (`shrimp_sim::shard`): each node's memory, bus, NIC, CPU, and system
 //! software are constructed on its owning shard's `Sim`, and the mesh is
 //! the **only** cross-shard channel (decoupled fixed-latency transport,
-//! lookahead = [`MeshConfig::min_remote_latency`]). The single-`Sim` path
-//! doubles as the differential oracle: `launch` at one shard degenerates
-//! to it exactly, and its outcome is byte-identical at any shard count.
+//! lookahead = [`MeshConfig::min_remote_latency`]). A `launch` at one
+//! shard runs every node on one `Sim` without synchronization windows, but
+//! it is *not* the `build` machine: its mesh is still the decoupled
+//! transport, with no link contention. That one-shard launch is the
+//! differential oracle for the sharded runs, whose outcome is
+//! byte-identical to it at any shard count.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -296,9 +299,11 @@ impl ClusterBuilder {
     /// shards (`shard_of`); each shard constructs its nodes on its own
     /// `Sim` and the mesh runs the decoupled fixed-latency transport with
     /// the mesh's minimum remote latency as cross-shard lookahead. At one
-    /// effective shard this degenerates to the single-`Sim` executor — the
-    /// differential oracle — and the outcome is byte-identical at any
-    /// shard count.
+    /// effective shard the engine runs no synchronization windows, yet the
+    /// mesh keeps the decoupled transport, so the outcome generally differs
+    /// from the same program on [`ClusterBuilder::build`]'s contended mesh.
+    /// The one-shard launch is the differential oracle: the outcome is
+    /// byte-identical to it at any shard count.
     ///
     /// Shutdown is shard-safe by construction: each shard closes its NIC
     /// ingress and notification queues only at the engine's global drain

@@ -17,6 +17,12 @@
 //! virtual address spaces with page pinning, the per-page cache mode, a
 //! snoop hook for the NIC's memory-bus board, and the exclusively-arbitrated
 //! memory bus.
+//!
+//! Physical pages are handed out densely from page 1 and virtual pages from
+//! page 16, so page state and translations live in `Vec`s indexed by page
+//! number: an access costs a bounds-checked load, not a hash probe. A page's
+//! bytes are allocated on its first write; a never-written page reads (and
+//! checkpoints) as zeros without occupying host memory.
 
 #![warn(missing_docs)]
 

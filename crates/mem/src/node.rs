@@ -1,8 +1,13 @@
 //! Per-node physical memory with real byte contents, cache modes, pinning,
 //! the NIC snoop hook, and per-page write watchers.
+//!
+//! Physical pages are handed out densely from page 1, so every per-page
+//! table is a `Vec` indexed by page number — one bounds-checked load per
+//! access, like the NIC's directly indexed page tables (§2.3). A page's
+//! bytes are materialized on its first write; until then it reads as
+//! zeros and costs no host memory.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use shrimp_sim::Gate;
@@ -25,14 +30,34 @@ pub enum CacheMode {
 
 type SnoopFn = Box<dyn Fn(Paddr, &[u8])>;
 
+/// One allocated physical page.
+#[derive(Default)]
+struct Frame {
+    /// The page's bytes; `None` while the page is still all zero.
+    data: Option<Box<[u8; PAGE_SIZE]>>,
+    mode: CacheMode,
+    pins: u32,
+}
+
 struct NodeMemInner {
-    pages: RefCell<HashMap<u64, Box<[u8; PAGE_SIZE]>>>,
-    cache_modes: RefCell<HashMap<u64, CacheMode>>,
-    pinned: RefCell<HashMap<u64, u32>>, // pin counts
-    next_phys_page: RefCell<u64>,
+    /// Allocated pages; page `p` is `frames[p - 1]` (page 0 is the reserved
+    /// null page), so the allocator cursor is `frames.len() + 1`.
+    frames: RefCell<Vec<Frame>>,
     snoop: RefCell<Option<SnoopFn>>,
-    write_gates: RefCell<HashMap<u64, Gate>>,
+    /// Indexed by page number; grown on demand because gates outlive
+    /// [`NodeMem::reset`].
+    write_gates: RefCell<Vec<Option<Gate>>>,
     any_write_gate: Gate,
+}
+
+/// Slot of `page` in the frame table: `page - 1`, wrapping page 0 out of
+/// range so it fails the same bounds check as a page past the end.
+fn slot(page: u64) -> usize {
+    (page as usize).wrapping_sub(1)
+}
+
+fn unallocated(page: u64) -> ! {
+    panic!("access to unallocated physical page {page}")
 }
 
 /// One node's physical memory. Cheap to clone (shared handle).
@@ -53,7 +78,7 @@ impl Default for NodeMem {
 impl std::fmt::Debug for NodeMem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NodeMem")
-            .field("allocated_pages", &self.inner.pages.borrow().len())
+            .field("allocated_pages", &self.allocated_pages())
             .finish()
     }
 }
@@ -63,12 +88,9 @@ impl NodeMem {
     pub fn new() -> Self {
         NodeMem {
             inner: Rc::new(NodeMemInner {
-                pages: RefCell::new(HashMap::new()),
-                cache_modes: RefCell::new(HashMap::new()),
-                pinned: RefCell::new(HashMap::new()),
-                next_phys_page: RefCell::new(1), // page 0 reserved (null)
+                frames: RefCell::new(Vec::new()),
                 snoop: RefCell::new(None),
-                write_gates: RefCell::new(HashMap::new()),
+                write_gates: RefCell::new(Vec::new()),
                 any_write_gate: Gate::new(),
             }),
         }
@@ -82,28 +104,22 @@ impl NodeMem {
     /// (the Xpress-bus board, parked pollers on other tasks), not volatile
     /// contents.
     pub fn reset(&self) {
-        self.inner.pages.borrow_mut().clear();
-        self.inner.cache_modes.borrow_mut().clear();
-        self.inner.pinned.borrow_mut().clear();
-        *self.inner.next_phys_page.borrow_mut() = 1;
+        self.inner.frames.borrow_mut().clear();
     }
 
     /// Allocates `npages` fresh, zeroed, contiguous physical pages and
     /// returns the first page number.
     pub fn alloc_pages(&self, npages: usize) -> u64 {
-        let mut next = self.inner.next_phys_page.borrow_mut();
-        let first = *next;
-        *next += npages as u64;
-        let mut pages = self.inner.pages.borrow_mut();
-        for p in first..first + npages as u64 {
-            pages.insert(p, Box::new([0u8; PAGE_SIZE]));
-        }
+        let mut frames = self.inner.frames.borrow_mut();
+        let first = frames.len() as u64 + 1;
+        let len = frames.len() + npages;
+        frames.resize_with(len, Frame::default);
         first
     }
 
     /// Number of allocated physical pages.
     pub fn allocated_pages(&self) -> usize {
-        self.inner.pages.borrow().len()
+        self.inner.frames.borrow().len()
     }
 
     /// The next physical page number the allocator will hand out.
@@ -112,25 +128,19 @@ impl NodeMem {
     /// restored node re-runs its allocation preamble, so a cursor mismatch
     /// means the replayed layout diverged from the captured one.
     pub fn next_phys_page(&self) -> u64 {
-        *self.inner.next_phys_page.borrow()
+        self.allocated_pages() as u64 + 1
     }
 
     /// Every allocated page's number and contents, sorted by page number —
-    /// the deterministic memory image a checkpoint stores.
+    /// the deterministic memory image a checkpoint stores. Never-written
+    /// pages appear as zeros.
     pub fn dump_pages(&self) -> Vec<(u64, Vec<u8>)> {
-        let pages = self.inner.pages.borrow();
-        let mut out: Vec<(u64, Vec<u8>)> =
-            pages.iter().map(|(&p, data)| (p, data.to_vec())).collect();
-        out.sort_unstable_by_key(|&(p, _)| p);
-        out
-    }
-
-    fn with_page<R>(&self, page: u64, f: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R) -> R {
-        let mut pages = self.inner.pages.borrow_mut();
-        let p = pages
-            .get_mut(&page)
-            .unwrap_or_else(|| panic!("access to unallocated physical page {page}"));
-        f(p)
+        let frames = self.inner.frames.borrow();
+        let zeros = [0; PAGE_SIZE];
+        (1..)
+            .zip(frames.iter())
+            .map(|(p, f)| (p, f.data.as_deref().unwrap_or(&zeros).to_vec()))
+            .collect()
     }
 
     /// Reads `buf.len()` bytes starting at `addr` (may cross pages).
@@ -139,11 +149,15 @@ impl NodeMem {
     ///
     /// Panics if any touched page is unallocated.
     pub fn read(&self, addr: Paddr, buf: &mut [u8]) {
+        let frames = self.inner.frames.borrow();
         let mut done = 0;
         for (page, offset, len) in page_chunks(addr.0, buf.len()) {
-            self.with_page(page, |p| {
-                buf[done..done + len].copy_from_slice(&p[offset..offset + len]);
-            });
+            let dst = &mut buf[done..done + len];
+            match frames.get(slot(page)) {
+                Some(Frame { data: Some(p), .. }) => dst.copy_from_slice(&p[offset..offset + len]),
+                Some(_) => dst.fill(0),
+                None => unallocated(page),
+            }
             done += len;
         }
     }
@@ -151,11 +165,14 @@ impl NodeMem {
     /// Writes bytes starting at `addr` without snooping or watcher
     /// notification — raw backdoor used for workload initialization.
     pub fn write_raw(&self, addr: Paddr, data: &[u8]) {
+        let mut frames = self.inner.frames.borrow_mut();
         let mut done = 0;
         for (page, offset, len) in page_chunks(addr.0, data.len()) {
-            self.with_page(page, |p| {
-                p[offset..offset + len].copy_from_slice(&data[done..done + len]);
-            });
+            let frame = frames
+                .get_mut(slot(page))
+                .unwrap_or_else(|| unallocated(page));
+            let p = frame.data.get_or_insert_with(|| Box::new([0; PAGE_SIZE]));
+            p[offset..offset + len].copy_from_slice(&data[done..done + len]);
             done += len;
         }
     }
@@ -184,7 +201,7 @@ impl NodeMem {
         self.write_raw(addr, data);
         for (page, _, _) in page_chunks(addr.0, data.len()) {
             let gates = self.inner.write_gates.borrow();
-            if let Some(g) = gates.get(&page) {
+            if let Some(Some(g)) = gates.get(page as usize) {
                 g.notify();
             }
         }
@@ -200,12 +217,12 @@ impl NodeMem {
     /// Gate notified on every [`NodeMem::dma_write`] touching `page`; pollers
     /// use it to sleep until the page may have changed.
     pub fn write_gate(&self, page: u64) -> Gate {
-        self.inner
-            .write_gates
-            .borrow_mut()
-            .entry(page)
-            .or_default()
-            .clone()
+        let mut gates = self.inner.write_gates.borrow_mut();
+        let i = page as usize;
+        if gates.len() <= i {
+            gates.resize_with(i + 1, || None);
+        }
+        gates[i].get_or_insert_with(Gate::new).clone()
     }
 
     /// Installs the NIC snoop hook (the Xpress-bus board).
@@ -213,25 +230,40 @@ impl NodeMem {
         *self.inner.snoop.borrow_mut() = Some(Box::new(f));
     }
 
-    /// Sets the caching policy of a physical page.
-    pub fn set_cache_mode(&self, page: u64, mode: CacheMode) {
-        self.inner.cache_modes.borrow_mut().insert(page, mode);
+    /// Runs `f` on an allocated page's frame.
+    fn with_frame<R>(&self, page: u64, f: impl FnOnce(&mut Frame) -> R) -> R {
+        let mut frames = self.inner.frames.borrow_mut();
+        f(frames
+            .get_mut(slot(page))
+            .unwrap_or_else(|| unallocated(page)))
     }
 
-    /// Caching policy of a physical page (default [`CacheMode::WriteBack`]).
+    /// Sets the caching policy of a physical page.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page is unallocated.
+    pub fn set_cache_mode(&self, page: u64, mode: CacheMode) {
+        self.with_frame(page, |f| f.mode = mode);
+    }
+
+    /// Caching policy of a physical page (default [`CacheMode::WriteBack`],
+    /// which is also what an unallocated page reports).
     pub fn cache_mode_of(&self, page: u64) -> CacheMode {
-        self.inner
-            .cache_modes
-            .borrow()
-            .get(&page)
-            .copied()
-            .unwrap_or_default()
+        let frames = self.inner.frames.borrow();
+        frames
+            .get(slot(page))
+            .map_or(CacheMode::WriteBack, |f| f.mode)
     }
 
     /// Pins a page (prevents replacement; export pins receive-buffer pages).
     /// Pins nest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page is unallocated.
     pub fn pin(&self, page: u64) {
-        *self.inner.pinned.borrow_mut().entry(page).or_insert(0) += 1;
+        self.with_frame(page, |f| f.pins += 1);
     }
 
     /// Releases one pin of a page.
@@ -240,17 +272,17 @@ impl NodeMem {
     ///
     /// Panics if the page is not pinned.
     pub fn unpin(&self, page: u64) {
-        let mut pinned = self.inner.pinned.borrow_mut();
-        let c = pinned.get_mut(&page).expect("unpin of unpinned page");
-        *c -= 1;
-        if *c == 0 {
-            pinned.remove(&page);
+        let mut frames = self.inner.frames.borrow_mut();
+        match frames.get_mut(slot(page)) {
+            Some(f) if f.pins > 0 => f.pins -= 1,
+            _ => panic!("unpin of unpinned page"),
         }
     }
 
     /// `true` if the page is currently pinned.
     pub fn is_pinned(&self, page: u64) -> bool {
-        self.inner.pinned.borrow().contains_key(&page)
+        let frames = self.inner.frames.borrow();
+        frames.get(slot(page)).is_some_and(|f| f.pins > 0)
     }
 
     // Typed helpers -------------------------------------------------------

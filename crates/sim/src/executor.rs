@@ -12,11 +12,14 @@
 //!
 //! Timers live in an indexed hierarchical [timer wheel](crate::wheel) and
 //! tasks in a slab with an intrusive free list, so steady-state scheduling
-//! performs no heap allocation: timer nodes and task slots are recycled, each
-//! task's [`Waker`] is created once at spawn and reused for every poll, and
-//! the wake queue is a plain `VecDeque` guarded by a run-time owner-thread
-//! check instead of a `Mutex` (the simulator is single-threaded; a waker that
-//! crosses threads panics rather than corrupting the queue).
+//! performs no heap allocation: timer nodes and task slots are recycled, and
+//! each task's [`Waker`] is created once at spawn and *moved* out of its slot
+//! for every poll and back after it, so a poll touches no refcount. The wake
+//! queue is a plain `VecDeque` guarded by a run-time owner-thread check
+//! instead of a `Mutex` (the simulator is single-threaded; a waker that
+//! crosses threads panics rather than corrupting the queue). The check
+//! compares against a thread-local cached `ThreadId` rather than calling
+//! `std::thread::current()`, so it costs a wake no atomic refcount.
 
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::collections::VecDeque;
@@ -163,13 +166,23 @@ struct ReadyQueue {
     woken: UnsafeCell<VecDeque<TaskId>>,
 }
 
+thread_local! {
+    static THREAD_ID: ThreadId = std::thread::current().id();
+}
+
+/// This thread's id, read from a thread-local cache: cheaper than
+/// `std::thread::current()`, which clones and drops an `Arc` per call.
+fn current_thread() -> ThreadId {
+    THREAD_ID.with(|id| *id)
+}
+
 unsafe impl Send for ReadyQueue {}
 unsafe impl Sync for ReadyQueue {}
 
 impl ReadyQueue {
     fn new() -> Self {
         ReadyQueue {
-            owner: std::thread::current().id(),
+            owner: current_thread(),
             woken: UnsafeCell::new(VecDeque::new()),
         }
     }
@@ -177,7 +190,7 @@ impl ReadyQueue {
     #[inline]
     fn assert_owner(&self) {
         assert_eq!(
-            std::thread::current().id(),
+            current_thread(),
             self.owner,
             "Sim waker used from a foreign thread; the simulator is strictly single-threaded"
         );
@@ -274,7 +287,7 @@ impl TaskSlab {
             idx
         };
         let id = task_id(idx, self.slots[idx as usize].gen);
-        // The task's one Waker, cloned (refcount bump only) for every poll.
+        // The task's one Waker, lent to every poll of the task.
         let waker = Waker::from(Arc::new(TaskWaker {
             id,
             ready: ready.clone(),
@@ -286,9 +299,11 @@ impl TaskSlab {
         id
     }
 
-    /// Takes the future (and a waker clone) out of a slot for polling, so the
+    /// Takes the future and the waker out of a slot for polling, so the
     /// slab is not borrowed while the process body runs (it may spawn/wake).
-    /// `None` for stale or mid-poll wakes.
+    /// The slot keeps a no-op waker until [`TaskSlab::finish_poll`] moves the
+    /// real one back: a move, not a refcount round trip per poll. `None` for
+    /// stale or mid-poll wakes.
     fn begin_poll(&mut self, id: TaskId) -> Option<(BoxFuture, Waker)> {
         let (idx, gen) = split_id(id);
         let slot = self.slots.get_mut(idx as usize)?;
@@ -296,17 +311,21 @@ impl TaskSlab {
             return None; // task completed; slot recycled
         }
         match &mut slot.state {
-            SlotState::Live { fut, waker } => fut.take().map(|f| (f, waker.clone())),
+            SlotState::Live { fut, waker } => {
+                let f = fut.take()?;
+                Some((f, std::mem::replace(waker, Waker::noop().clone())))
+            }
             SlotState::Free { .. } => None,
         }
     }
 
-    fn finish_poll(&mut self, id: TaskId, fut: BoxFuture) {
+    fn finish_poll(&mut self, id: TaskId, fut: BoxFuture, task_waker: Waker) {
         let (idx, gen) = split_id(id);
         let slot = &mut self.slots[idx as usize];
         debug_assert_eq!(slot.gen, gen);
-        if let SlotState::Live { fut: f, .. } = &mut slot.state {
+        if let SlotState::Live { fut: f, waker } = &mut slot.state {
             *f = Some(fut);
+            *waker = task_waker;
         }
     }
 
@@ -525,7 +544,7 @@ impl Sim {
             let mut cx = Context::from_waker(&waker);
             match fut.as_mut().poll(&mut cx) {
                 Poll::Ready(()) => self.inner.tasks.borrow_mut().complete(id),
-                Poll::Pending => self.inner.tasks.borrow_mut().finish_poll(id, fut),
+                Poll::Pending => self.inner.tasks.borrow_mut().finish_poll(id, fut, waker),
             }
         }
         any
@@ -1069,6 +1088,39 @@ mod tests {
         assert!(
             joined.is_err(),
             "waking from a foreign thread must panic, not touch the queue"
+        );
+    }
+
+    /// Resolves at once to the waker of the poll that awaits it.
+    fn current_waker() -> impl Future<Output = Waker> {
+        std::future::poll_fn(|cx| Poll::Ready(cx.waker().clone()))
+    }
+
+    #[test]
+    fn waker_stored_during_a_poll_wakes_after_it_moves_back() {
+        let sim = Sim::new();
+        let gate = crate::Gate::new();
+        let g = gate.clone();
+        let seen: Rc<RefCell<Vec<Waker>>> = Rc::default();
+        let s = seen.clone();
+        let h = sim.spawn(async move {
+            // Poll 1: the gate keeps a clone of this poll's waker.
+            let first = current_waker().await;
+            s.borrow_mut().push(first);
+            g.wait().await;
+            // Poll 2: only the gate's stored waker can have woken us.
+            let second = current_waker().await;
+            s.borrow_mut().push(second);
+        });
+        sim.schedule(ns(5), move || gate.notify());
+        sim.run();
+        assert!(h.is_done(), "the stored waker did not wake the task");
+        let seen = seen.borrow();
+        assert_eq!(seen.len(), 2);
+        assert!(seen[0].will_wake(&seen[1]), "poll 2 saw another waker");
+        assert!(
+            !seen[0].will_wake(Waker::noop()),
+            "a poll saw the no-op stand-in"
         );
     }
 
