@@ -33,7 +33,9 @@
 //! # Failover
 //!
 //! Group peers gossip heartbeats ([`HeartbeatConfig`]) and run the
-//! lease-plus-backoff failure detector of the chaos workload. A backup
+//! lease-plus-backoff failure detector of [`shrimp_core::membership`],
+//! the one the chaos workload runs too; unlike the chaos workload, a
+//! replica never revives a peer it declared dead. A backup
 //! whose lower ranks are all declared dead promotes itself: it marks its
 //! applied log committed and re-ships it (the ordinary shipping pump,
 //! restarted from index zero) to the surviving peers, which deduplicate
@@ -61,6 +63,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
+use shrimp_core::membership::{Detector, Verdict, CTRL_SLOT};
 use shrimp_core::{
     Cluster, DesignConfig, HeartbeatConfig, LaunchOutcome, NodeId, NodeProgram, NodeStats,
     Notification, ProxyBuffer, Vmmc,
@@ -82,9 +85,6 @@ const RING_W: u64 = 16;
 const REGION: usize = RING_W as usize * REC;
 /// Maximum value payload carried by one record.
 const VAL_MAX: usize = 64;
-/// Bytes of one node's slot in the heartbeat control buffer:
-/// `[counter: u64][done flag: u64]`, little-endian.
-const CTRL_SLOT: usize = 16;
 
 /// How long a client waits on an unanswered request before rotating its
 /// primary hint and resending (retries are idempotent: replicas
@@ -567,67 +567,51 @@ async fn run_server(
         });
     }
 
-    // Failure detector over group peers: lease plus seeded-backoff probe
-    // extensions, as in the chaos cluster workload. Declaring the last
-    // live lower rank dead promotes this node; the failover time
-    // (promotion minus the dead primary's last heartbeat) is recorded.
+    // Failure detector over group peers: one read of the control buffer
+    // per period, judged by the shared lease-plus-backoff detector. A dead
+    // peer stays dead even if heard again. Declaring the last live lower
+    // rank dead promotes this node; the failover time (promotion minus the
+    // dead primary's last heartbeat) is recorded.
     if r > 1 {
         let (sim, vmmc, sh) = (sim.clone(), vmmc.clone(), Rc::clone(&shared));
         let stats = vmmc.stats();
         sim.clone().spawn(async move {
-            let start = sim.now();
-            let mut last_val = vec![0u64; r];
-            let mut last_heard = vec![start; r];
-            let mut deadline = vec![start + det.lease; r];
-            let mut attempt = vec![0u32; r];
+            let peers = (0..r)
+                .filter(|&q| q != my_rank)
+                .map(|q| p.node_of(group, q));
+            let mut detector = Detector::new(det, p.seed, sim.now(), peers);
+            let mut buf = vec![0u8; p.nodes * CTRL_SLOT];
+            let rank = |node: usize| node - group * r;
             loop {
                 sim.sleep(det.period).await;
                 let now = sim.now();
                 if sh.halt.get() || now >= abort_at {
                     break;
                 }
-                for q in 0..r {
-                    if q == my_rank {
-                        continue;
-                    }
-                    let peer = p.node_of(group, q);
-                    let mut b = [0u8; CTRL_SLOT];
-                    vmmc.space()
-                        .read(ctrl.add((peer * CTRL_SLOT) as u64), &mut b);
-                    let hb = u64::from_le_bytes(b[..8].try_into().expect("8 bytes"));
-                    let done = u64::from_le_bytes(b[8..].try_into().expect("8 bytes"));
-                    let view = &sh.peers[q];
-                    if hb != last_val[q] {
-                        last_val[q] = hb;
-                        last_heard[q] = now;
-                        attempt[q] = 0;
-                        deadline[q] = now + det.lease;
-                        if done != 0 {
-                            view.done.set(true);
+                vmmc.space().read(ctrl, &mut buf);
+                for &(node, verdict) in
+                    detector.sample(now, &buf, |node| sh.peers[rank(node)].dead.get())
+                {
+                    let view = &sh.peers[rank(node)];
+                    match verdict {
+                        Verdict::Heard { done, .. } => {
+                            if done {
+                                view.done.set(true);
+                            }
                         }
-                    } else if !view.dead.get() && now >= deadline[q] {
-                        if attempt[q] >= det.max_probes {
+                        Verdict::Dead { silence } => {
                             view.dead.set(true);
-                            let lat = now - last_heard[q];
-                            NodeStats::add(&stats.detection_latency, lat);
+                            NodeStats::add(&stats.detection_latency, silence);
                             sim.metrics()
-                                .observe(Category::Core, "detection_latency_ps", lat);
+                                .observe(Category::Core, "detection_latency_ps", silence);
                             let lower_all_dead = (0..my_rank).all(|lr| sh.peers[lr].dead.get());
                             if lower_all_dead && !sh.is_leader.get() {
                                 sh.is_leader.set(true);
-                                sim.metrics().observe(Category::App, "kv_failover_ps", lat);
+                                sim.metrics()
+                                    .observe(Category::App, "kv_failover_ps", silence);
                             }
-                        } else {
-                            deadline[q] = now
-                                + shrimp_core::node_backoff(
-                                    p.seed,
-                                    p.node_of(group, q),
-                                    attempt[q],
-                                    det.backoff_base,
-                                    det.backoff_cap,
-                                );
-                            attempt[q] += 1;
                         }
+                        Verdict::Probe | Verdict::Quiet => {}
                     }
                 }
             }

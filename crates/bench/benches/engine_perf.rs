@@ -1,6 +1,7 @@
 //! Benchmark of the simulator substrate itself: host-side throughput of
-//! the event loop, channels, the full VMMC send path, and the per-access
-//! layers under it: translated memory reads and OPT lookups. (All other
+//! the event loop, channels, the full VMMC send path, and the layers under
+//! it: translated memory reads, OPT lookups, the packet checksum, and mesh
+//! sends on both transports. (All other
 //! bench targets report *simulated* time; this one keeps an eye on how
 //! fast the reproduction runs on the host.)
 //!
@@ -12,9 +13,11 @@
 
 use shrimp_core::{Cluster, DesignConfig};
 use shrimp_mem::{AddressSpace, NodeMem, Vaddr, PAGE_SIZE};
-use shrimp_net::NodeId;
+use shrimp_net::{Flit, MeshConfig, Network, NodeId};
+use shrimp_nic::packet::Packet;
 use shrimp_nic::tables::{PageTables, PROXY_INDEX_BASE};
 use shrimp_nic::OptEntry;
+use shrimp_sim::shard::{run_sharded, Builder, ShardConfig};
 use shrimp_sim::{time, Sim};
 use shrimp_testkit::bench::{black_box, Harness};
 
@@ -118,6 +121,58 @@ fn nic_opt_lookups(t: &PageTables) -> u64 {
     hits
 }
 
+/// One 4 KB packet sealed and verified, as the NIC does at egress and
+/// ingress: two payload checksums.
+fn nic_payload_checksum(pkt: Packet) -> (Packet, bool) {
+    let pkt = black_box(pkt).seal();
+    let ok = black_box(&pkt).checksum_ok();
+    (pkt, ok)
+}
+
+/// Mesh sends per case: 64-byte packets from node `i % 16` to node
+/// `(i * 7 + 3) % 16` of the 4x4 backplane.
+const MESH_SENDS: usize = 10_000;
+
+fn mesh_sends(net: &Network<u64>) {
+    for i in 0..MESH_SENDS {
+        net.send(NodeId(i % 16), NodeId((i * 7 + 3) % 16), 64, i as u64);
+    }
+}
+
+/// Packets waiting in every ingress queue, drained.
+fn drain_ingress(net: &Network<u64>) -> usize {
+    let mut got = 0;
+    for n in 0..16 {
+        while net.ingress(NodeId(n)).try_recv().is_some() {
+            got += 1;
+        }
+    }
+    got
+}
+
+/// The contended transport (`ClusterBuilder::build`): every hop books a
+/// link, then the run delivers and the queues are drained.
+fn mesh_send_contended() -> usize {
+    let sim = Sim::new();
+    let net = Network::new(sim.clone(), MeshConfig::shrimp_4x4(), 16);
+    mesh_sends(&net);
+    sim.run();
+    drain_ingress(&net)
+}
+
+/// The decoupled transport (`ClusterBuilder::launch`) on one shard: point
+/// latency and the per-pair no-overtake clamp, then the same drain.
+fn mesh_send_decoupled() -> usize {
+    let mesh = MeshConfig::shrimp_4x4();
+    let cfg = ShardConfig::new(1, mesh.min_remote_latency());
+    let b: Builder<Flit<u64>, usize> = Box::new(move |ctx| {
+        let net = Network::sharded(ctx.sim().clone(), mesh, 16, vec![0; 16], ctx.sender());
+        mesh_sends(&net);
+        Box::new(move || drain_ingress(&net))
+    });
+    run_sharded(&cfg, vec![b]).results[0]
+}
+
 fn main() {
     let mut h = Harness::new("engine_perf");
     h.bench("sim_10k_sleep_events", || black_box(sim_10k_sleep_events()));
@@ -129,5 +184,21 @@ fn main() {
     });
     let opt = populated_opt();
     h.bench("nic_opt_lookups", || black_box(nic_opt_lookups(&opt)));
+    let mut pkt = Some(Packet::data(NodeId(0), NodeId(1), vec![0x5a; 4096], 0));
+    h.bench("nic_payload_checksum", || {
+        let (sealed, ok) = nic_payload_checksum(pkt.take().expect("packet"));
+        pkt = Some(sealed);
+        ok
+    });
+    h.bench("mesh_send_contended", || {
+        let got = mesh_send_contended();
+        assert_eq!(got, MESH_SENDS, "contended mesh lost packets");
+        got
+    });
+    h.bench("mesh_send_decoupled", || {
+        let got = mesh_send_decoupled();
+        assert_eq!(got, MESH_SENDS, "decoupled mesh lost packets");
+        got
+    });
     h.finish();
 }

@@ -34,18 +34,19 @@
 //!
 //! [`run_chaos_distributed`] runs a fault-tolerant variant of the same
 //! workload: every node additionally exports a small control buffer,
-//! gossips a heartbeat counter round-robin to its peers, and runs a
-//! lease-based failure detector ([`HeartbeatConfig`]) that declares silent
-//! peers dead after seeded-backoff probe extensions, routes data sends
-//! around them, and witnesses deterministic restarts. Detection latency
-//! and recovery time land in [`LaunchOutcome::detection_latency_ps`] and
+//! gossips a heartbeat counter round-robin to its peers, and runs the
+//! lease-based failure detector of [`crate::membership`] that declares
+//! silent peers dead after seeded-backoff probe extensions. Data sends
+//! route around dead peers, and a peer heard again after a deterministic
+//! restart is revived. Detection latency and recovery time land in
+//! [`LaunchOutcome::detection_latency_ps`] and
 //! [`LaunchOutcome::recovery_time_ps`].
 
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use shrimp_faults::{node_backoff, NodeCrash};
+use shrimp_faults::NodeCrash;
 use shrimp_mem::{Vaddr, PAGE_SIZE};
 use shrimp_net::NodeId;
 use shrimp_sim::rng::splitmix64;
@@ -54,6 +55,7 @@ use shrimp_sim::{time, Category, Queue, Time};
 
 use crate::cluster::{Cluster, LaunchOutcome, NodeProgram, Notification};
 use crate::config::DesignConfig;
+use crate::membership::{Detector, HeartbeatConfig, Verdict, CTRL_SLOT};
 use crate::parallel::choice;
 use crate::stats::NodeStats;
 use crate::vmmc::{ProxyBuffer, Vmmc};
@@ -238,53 +240,6 @@ async fn run_node(vmmc: Vmmc, p: DistributedParams) -> u64 {
     finish_node(&vmmc, &p, &setup).await
 }
 
-/// Bytes of one node's slot in every peer's control buffer:
-/// `[heartbeat counter: u64][done flag: u64]`, little-endian.
-const CTRL_SLOT: usize = 16;
-
-/// Knobs of the lease-based heartbeat failure detector run by the chaos
-/// workload. Every node gossips a monotonically increasing counter to one
-/// peer per `period`, rotating round-robin, so each peer hears from it
-/// once per *cycle* (`period * (nodes - 1)`). A peer silent past its
-/// `lease` gets up to `max_probes` deadline extensions of
-/// [`node_backoff`] length (seeded exponential backoff with deterministic
-/// jitter) before it is declared dead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeartbeatConfig {
-    /// Gap between consecutive heartbeat sends (to rotating targets).
-    pub period: Time,
-    /// Silence tolerated from one peer before probing begins.
-    pub lease: Time,
-    /// Base of the probe-extension backoff schedule.
-    pub backoff_base: Time,
-    /// Cap of the probe-extension backoff schedule.
-    pub backoff_cap: Time,
-    /// Probes granted past the lease before declaring a peer dead.
-    pub max_probes: u32,
-}
-
-impl HeartbeatConfig {
-    /// The default detector for an `n`-node cluster: 1 µs heartbeat
-    /// period, a lease of three full gossip cycles, and three probes on a
-    /// 5 µs-base / 40 µs-cap backoff.
-    pub fn for_nodes(n: usize) -> Self {
-        let period = time::us(1);
-        HeartbeatConfig {
-            period,
-            lease: 3 * period * n.saturating_sub(1).max(1) as Time,
-            backoff_base: time::us(5),
-            backoff_cap: time::us(40),
-            max_probes: 3,
-        }
-    }
-
-    /// One full gossip rotation: the gap between two heartbeats arriving
-    /// at the *same* peer.
-    pub fn cycle(&self, n: usize) -> Time {
-        self.period * n.saturating_sub(1).max(1) as Time
-    }
-}
-
 /// Runs the fault-tolerant chaos workload on a sharded cluster: the
 /// distributed workload plus a heartbeat failure detector, with the
 /// configured fault scenario injected from per-entity RNG streams.
@@ -440,68 +395,46 @@ async fn run_chaos_node(
         });
     }
 
-    // Monitor: samples every peer's control slot each period. A counter
-    // change refreshes the lease (and witnesses a rejoin); silence past
-    // the deadline earns seeded-backoff probe extensions, then a death
-    // declaration.
+    // Monitor: one read of the control buffer per period, judged by the
+    // shared detector. A hearing revives a dead peer (a rejoin); a death
+    // declaration makes the worker route around it.
     if n > 1 {
         let (sim, vmmc, sh) = (sim.clone(), vmmc.clone(), Rc::clone(&shared));
         let stats = vmmc.stats();
         sim.clone().spawn(async move {
-            let start = sim.now();
-            let mut last_val = vec![0u64; n];
-            let mut last_heard = vec![start; n];
-            let mut deadline = vec![start + det.lease; n];
-            let mut attempt = vec![0u32; n];
+            let peers = (0..n).filter(|&q| q != me);
+            let mut detector = Detector::new(det, p.seed, sim.now(), peers);
+            let mut buf = vec![0u8; ctrl_len];
             loop {
                 sim.sleep(det.period).await;
                 let now = sim.now();
                 if sh.halt.get() || now >= abort_at {
                     break;
                 }
-                for q in 0..n {
-                    if q == me {
-                        continue;
-                    }
-                    let mut b = [0u8; CTRL_SLOT];
-                    vmmc.space().read(ctrl.add((q * CTRL_SLOT) as u64), &mut b);
-                    let hb = u64::from_le_bytes(b[..8].try_into().unwrap());
-                    let done = u64::from_le_bytes(b[8..].try_into().unwrap());
+                vmmc.space().read(ctrl, &mut buf);
+                for &(q, verdict) in detector.sample(now, &buf, |q| sh.peers[q].dead.get()) {
                     let view = &sh.peers[q];
-                    if hb != last_val[q] {
-                        last_val[q] = hb;
-                        last_heard[q] = now;
-                        attempt[q] = 0;
-                        deadline[q] = now + det.lease;
-                        if view.dead.get() {
-                            view.dead.set(false);
-                            let rec = now - view.declared_at.get();
-                            NodeStats::add(&stats.recovery_time, rec);
-                            sim.metrics()
-                                .observe(Category::Core, "recovery_time_ps", rec);
+                    match verdict {
+                        Verdict::Heard { was_dead, done } => {
+                            if was_dead {
+                                view.dead.set(false);
+                                let rec = now - view.declared_at.get();
+                                NodeStats::add(&stats.recovery_time, rec);
+                                sim.metrics()
+                                    .observe(Category::Core, "recovery_time_ps", rec);
+                            }
+                            if done {
+                                view.done.set(true);
+                            }
                         }
-                        if done != 0 {
-                            view.done.set(true);
-                        }
-                    } else if !view.dead.get() && now >= deadline[q] {
-                        if attempt[q] >= det.max_probes {
+                        Verdict::Dead { silence } => {
                             view.dead.set(true);
                             view.declared_at.set(now);
-                            let lat = now - last_heard[q];
-                            NodeStats::add(&stats.detection_latency, lat);
+                            NodeStats::add(&stats.detection_latency, silence);
                             sim.metrics()
-                                .observe(Category::Core, "detection_latency_ps", lat);
-                        } else {
-                            deadline[q] = now
-                                + node_backoff(
-                                    p.seed,
-                                    q,
-                                    attempt[q],
-                                    det.backoff_base,
-                                    det.backoff_cap,
-                                );
-                            attempt[q] += 1;
+                                .observe(Category::Core, "detection_latency_ps", silence);
                         }
+                        Verdict::Probe | Verdict::Quiet => {}
                     }
                 }
             }

@@ -57,6 +57,7 @@ pub mod cluster;
 pub mod config;
 pub mod cpu;
 pub mod distributed;
+pub mod membership;
 pub mod parallel;
 pub mod report;
 pub mod ring;
@@ -70,8 +71,8 @@ pub use config::DesignConfig;
 pub use cpu::Cpu;
 pub use distributed::{
     chaos_node_program, node_program, run_chaos_distributed, run_distributed, DistributedParams,
-    HeartbeatConfig,
 };
+pub use membership::HeartbeatConfig;
 pub use parallel::{run_parallel, shard_of, ParallelOutcome, ParallelParams};
 pub use report::{ClusterReport, NodeReport};
 pub use ring::{connect_ring, RingBulk, RingFrame, RingReceiver, RingSender};

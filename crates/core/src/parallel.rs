@@ -108,6 +108,15 @@ pub(crate) fn choice(seed: u64, node: usize, step: u32, salt: u64) -> u64 {
     splitmix64(&mut st)
 }
 
+/// Byte-wise FNV-1a: the per-message digest the receive process mixes
+/// into the workload checksum. Private to the workload, so the result
+/// never depends on the NIC's header checksum code.
+fn fnv1a(data: &[u8]) -> u64 {
+    data.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Per-shard running totals, merged commutatively at harvest.
 #[derive(Default, Clone, Copy)]
 struct Totals {
@@ -201,7 +210,7 @@ fn spawn_receiver(ctx: &ShardCtx<Packet>, mailbox: &Queue<Packet>, totals: &Rc<C
             // Wrapping add of a per-message hash: commutative, so delivery
             // order (and therefore shard layout) cannot change it.
             let mix = choice(
-                pkt.checksum ^ sim.now(),
+                fnv1a(&pkt.data) ^ sim.now(),
                 pkt.src.0,
                 pkt.dst.0 as u32,
                 pkt.sent_at,
@@ -306,6 +315,16 @@ mod tests {
                 "outcome diverged at {shards} shards"
             );
         }
+    }
+
+    /// The message digest is byte-wise FNV-1a, pinned here so the
+    /// workload checksum cannot drift with the NIC's integrity code.
+    #[test]
+    fn message_digest_is_pinned_fnv1a() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        let payload: Vec<u8> = (0..64).collect();
+        assert_eq!(fnv1a(&payload), 0x8368_214f_7799_5ee5);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::rc::Rc;
 
 use shrimp_faults::{FaultPlane, PacketFate, ShrimpError};
@@ -172,8 +172,10 @@ struct Decoupled<P> {
     shard_map: Vec<usize>,
     /// Cross-shard channel to the peer backplanes.
     sender: ShardSender<Flit<P>>,
-    /// Last granted arrival per (src, dst) pair, for the no-overtake clamp.
-    last_arrival: RefCell<HashMap<(usize, usize), Time>>,
+    /// Last granted arrival per (src, dst) pair, for the no-overtake clamp:
+    /// indexed `[src][dst]`, a source's row allocated on its first send
+    /// (only sources owned by this shard ever send here).
+    last_arrival: RefCell<Vec<Vec<Time>>>,
     /// Per-destination reorder heaps (only owned destinations are used).
     heaps: RefCell<Vec<BinaryHeap<Reverse<HeapEntry<P>>>>>,
     /// Instant for which a drain of the node's heap is already scheduled.
@@ -181,8 +183,9 @@ struct Decoupled<P> {
 }
 
 struct Channels {
-    // Directed router-to-router links.
-    links: HashMap<(usize, usize), Resource>,
+    // Directed router-to-router links, indexed by `link_index` (router,
+    // output port); each created on first use.
+    links: Vec<Option<Resource>>,
     // Node-to-router and router-to-node channels.
     inject: Vec<Resource>,
     eject: Vec<Resource>,
@@ -245,7 +248,7 @@ impl<P: 'static> Network<P> {
             cfg.capacity()
         );
         let channels = Channels {
-            links: HashMap::new(),
+            links: vec![None; 4 * cfg.capacity()],
             inject: (0..n_nodes).map(|_| Resource::new()).collect(),
             eject: (0..n_nodes).map(|_| Resource::new()).collect(),
             loopback: (0..n_nodes).map(|_| Resource::new()).collect(),
@@ -293,7 +296,7 @@ impl<P: 'static> Network<P> {
             shard: sender.shard(),
             shard_map,
             sender,
-            last_arrival: RefCell::new(HashMap::new()),
+            last_arrival: RefCell::new(vec![Vec::new(); n_nodes]),
             heaps: RefCell::new((0..n_nodes).map(|_| BinaryHeap::new()).collect()),
             drain_at: (0..n_nodes).map(|_| Cell::new(0)).collect(),
         };
@@ -302,7 +305,7 @@ impl<P: 'static> Network<P> {
                 sim,
                 cfg,
                 channels: RefCell::new(Channels {
-                    links: HashMap::new(),
+                    links: Vec::new(),
                     inject: Vec::new(),
                     eject: Vec::new(),
                     loopback: Vec::new(),
@@ -448,9 +451,8 @@ impl<P: 'static> Network<P> {
             head = reserve_from(&channels.inject[src.0], sim, head, serialization);
             // Router-to-router links.
             for w in path.windows(2) {
-                let key = (w[0], w[1]);
-                let link = channels.links.entry(key).or_default().clone();
-                head = reserve_from(&link, sim, head + cfg.hop_latency, serialization);
+                let link = channels.links[link_index(w[0], w[1])].get_or_insert_with(Resource::new);
+                head = reserve_from(link, sim, head + cfg.hop_latency, serialization);
             }
             // Ejection channel.
             head = reserve_from(
@@ -564,7 +566,11 @@ impl<P: 'static> Network<P> {
         // requires.
         let arrival = {
             let mut last = d.last_arrival.borrow_mut();
-            let slot = last.entry((src.0, dst.0)).or_insert(0);
+            let row = &mut last[src.0];
+            if row.is_empty() {
+                row.resize(d.shard_map.len(), 0);
+            }
+            let slot = &mut row[dst.0];
             let granted = ideal.max(*slot + serialization);
             *slot = granted;
             granted
@@ -814,6 +820,23 @@ fn fate_and_salt(plane: Option<&FaultPlane>, src: NodeId, dst: NodeId) -> (Packe
     }
 }
 
+/// Dense index of the directed link from router `a` to its neighbour `b`:
+/// four output ports per router (+1, -1, +width, -width). The port is
+/// unique per neighbour at any mesh width; a one-wide mesh has only the
+/// first two.
+fn link_index(a: usize, b: usize) -> usize {
+    let port = if b == a + 1 {
+        0
+    } else if a == b + 1 {
+        1
+    } else if b > a {
+        2
+    } else {
+        3
+    };
+    4 * a + port
+}
+
 /// Books `duration` on `r` starting no earlier than `earliest`; returns the
 /// actual start time (>= earliest; later if the channel is busy).
 fn reserve_from(r: &Resource, sim: &Sim, earliest: Time, duration: Time) -> Time {
@@ -925,6 +948,21 @@ mod tests {
         sim.run();
         // Identical timing: same hop count, no shared channels.
         assert_eq!(a, b);
+        assert_eq!(nw.stats().contention_wait(), 0);
+    }
+
+    /// Four packets cross router 5 of the 4x4 mesh at once, each leaving
+    /// by a different output port (east, west, south, north): every
+    /// directed link is its own channel, so none of them waits.
+    #[test]
+    fn output_ports_of_one_router_do_not_contend() {
+        let (sim, nw) = net(16);
+        let arrivals: Vec<Time> = [(4, 6), (6, 4), (1, 9), (9, 1)]
+            .into_iter()
+            .map(|(s, d)| nw.send(NodeId(s), NodeId(d), 4096, s as u64))
+            .collect();
+        sim.run();
+        assert!(arrivals.iter().all(|&t| t == arrivals[0]), "{arrivals:?}");
         assert_eq!(nw.stats().contention_wait(), 0);
     }
 

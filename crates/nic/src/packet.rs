@@ -26,13 +26,25 @@ impl PacketKind {
     }
 }
 
-/// FNV-1a over the payload bytes; the per-packet integrity check carried in
-/// the header.
+/// The per-packet integrity check carried in the header: FNV-1a's step
+/// `h = (h ^ w) * P` applied to each 8-byte little-endian word of the
+/// payload, then to each byte of the tail shorter than a word.
+///
+/// Every step is a bijection of `h` (xor with a fixed word, then a
+/// multiply by an odd prime mod 2^64), so two payloads that differ in
+/// exactly one word — or one tail byte — always check differently. Any
+/// single-byte corruption ([`Faultable::corrupt`]) is therefore detected.
 pub fn payload_checksum(data: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        h ^= u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+        h = h.wrapping_mul(PRIME);
+    }
+    for &b in words.remainder() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(PRIME);
     }
     h
 }
@@ -67,8 +79,10 @@ pub struct Packet {
     /// Reliable-delivery sequence number; `0` marks the unsequenced fast
     /// path (no ack expected, no duplicate suppression).
     pub seq: u64,
-    /// Header integrity check over `data` ([`payload_checksum`]); stale
-    /// after in-flight corruption, which is how receivers detect damage.
+    /// Header integrity check over `data` ([`payload_checksum`], stamped by
+    /// [`Packet::seal`]); stale after in-flight corruption, which is how
+    /// receivers detect damage. It is the NIC's integrity code only: no
+    /// workload result should depend on its value.
     pub checksum: u64,
     /// Injection timestamp, for the receiver's detection-latency metric.
     pub sent_at: Time,
@@ -119,8 +133,12 @@ impl Packet {
 }
 
 impl Faultable for Packet {
-    /// In-flight bit error: flips one payload byte (chosen by `salt`),
-    /// leaving the header checksum stale so ingress can detect it.
+    /// In-flight bit error: xors one payload byte (index `salt % len`)
+    /// with a nonzero mask (`(salt >> 32) as u8 | 1`), leaving the header
+    /// checksum stale. A one-byte change always changes
+    /// [`payload_checksum`], so ingress detects every such corruption. An
+    /// empty payload has no byte to damage; the header checksum itself is
+    /// flipped instead.
     fn corrupt(&mut self, salt: u64) {
         if self.data.is_empty() {
             self.checksum ^= salt | 1;
@@ -167,6 +185,65 @@ mod tests {
         damaged.corrupt(0x1234_5678_9abc_def0);
         assert!(!damaged.checksum_ok(), "corruption went undetected");
         assert_eq!(damaged.len(), p.len(), "corruption must not resize");
+    }
+
+    fn sealed(data: Vec<u8>) -> Packet {
+        Packet::data(NodeId(0), NodeId(1), data, 0)
+    }
+
+    /// Every single-byte change of a `len`-byte payload — each position,
+    /// each nonzero xor mask — fails the check.
+    fn assert_every_byte_change_detected(len: usize) {
+        let mut p = sealed((0..len).map(|i| (i * 131 + 7) as u8).collect());
+        assert!(p.checksum_ok());
+        for idx in 0..len {
+            for mask in 1..=255u8 {
+                p.data[idx] ^= mask;
+                assert!(!p.checksum_ok(), "len {len}: byte {idx} ^ {mask:#x} missed");
+                p.data[idx] ^= mask;
+            }
+        }
+        assert!(p.checksum_ok());
+    }
+
+    /// Every length across the first eight word boundaries.
+    #[test]
+    fn every_single_byte_change_is_detected_up_to_64_bytes() {
+        for len in 1..=64 {
+            assert_every_byte_change_detected(len);
+        }
+    }
+
+    #[test]
+    fn every_single_byte_change_of_a_page_is_detected() {
+        assert_every_byte_change_detected(4096);
+    }
+
+    /// `Faultable::corrupt` with seeded salts over seeded payloads (and the
+    /// empty payload) is always detected.
+    #[test]
+    fn seeded_corruption_is_always_detected() {
+        let mut st = 0x5348_5249_4d50_u64;
+        for _ in 0..1000 {
+            let len = (shrimp_sim::rng::splitmix64(&mut st) % 1501) as usize;
+            let data = (0..len)
+                .map(|_| shrimp_sim::rng::splitmix64(&mut st) as u8)
+                .collect();
+            let mut p = sealed(data);
+            p.corrupt(shrimp_sim::rng::splitmix64(&mut st));
+            assert!(
+                !p.checksum_ok(),
+                "corruption of a {len}-byte payload missed"
+            );
+        }
+    }
+
+    /// One pinned value: the checksum is part of the wire format.
+    #[test]
+    fn payload_checksum_golden_value() {
+        assert_eq!(payload_checksum(&[]), 0xcbf2_9ce4_8422_2325);
+        let data: Vec<u8> = (0..67u32).map(|i| (i * 37 + 11) as u8).collect();
+        assert_eq!(payload_checksum(&data), 0xb27b_6065_3f63_d199);
     }
 
     #[test]
