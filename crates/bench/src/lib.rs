@@ -24,7 +24,8 @@ use shrimp_sim::{time, Time};
 use shrimp_testkit::HarnessConfig;
 
 pub use spec::{
-    matrix, Knobs, KvMetrics, Observation, PerfSample, RunRecord, RunSpec, Scale, Shards, Variant,
+    matrix, Execution, Knobs, KvMetrics, Observation, PerfSample, RunRecord, RunSpec, Scale,
+    Shards, Variant,
 };
 
 /// The problem scale a harness configuration selects (`Full` under
@@ -244,72 +245,14 @@ impl App {
         self.run_with(nodes, cfg, HarnessConfig::global())
     }
 
-    /// [`App::run`] with an explicit harness configuration — the
-    /// programmatic entry the sweep runner's worker threads use (no
+    /// [`App::run`] with an explicit harness configuration (no
     /// process-environment reads).
+    ///
+    /// # Panics
+    ///
+    /// Panics for the apps that are not in [`App::all`]; they run only
+    /// through [`RunSpec::execute_at`] (see [`RunSpec::run_on`]).
     pub fn run_with(&self, nodes: usize, cfg: DesignConfig, harness: &HarnessConfig) -> RunOutcome {
-        if *self == App::ParallelNodes {
-            // The engine workload has no cluster, so none of the
-            // trace/report machinery below applies; a single shard is the
-            // reference execution and every shard count yields the same
-            // outcome anyway.
-            let out = shrimp_core::run_parallel(&spec::parallel_params_at(scale_of(harness)), 1);
-            return RunOutcome {
-                elapsed: out.elapsed,
-                checksum: out.checksum,
-                messages: out.messages,
-                notifications: 0,
-                svm: None,
-            };
-        }
-        if *self == App::ClusterNodes {
-            // The sharded cluster builds its own machine(s); one shard is
-            // the reference execution and every count agrees with it.
-            let params = spec::distributed_params_at(scale_of(harness)).scaled_to(nodes);
-            let out = shrimp_core::run_distributed(&params, cfg, shrimp_core::Shards::Fixed(1));
-            return RunOutcome {
-                elapsed: out.elapsed,
-                checksum: out
-                    .node_results
-                    .iter()
-                    .fold(0u64, |acc, &r| acc.wrapping_add(r)),
-                messages: out.messages,
-                notifications: out.notifications,
-                svm: None,
-            };
-        }
-        if *self == App::WarmClusterNodes {
-            // The cold two-phase pipeline (warmup + checkpoint + resume);
-            // one shard is the reference execution here too.
-            let params = spec::warm_params_at(scale_of(harness), nodes, 1);
-            let (out, _) = shrimp_core::run_cold(&params, cfg, shrimp_core::Shards::Fixed(1));
-            return RunOutcome {
-                elapsed: out.elapsed,
-                checksum: out
-                    .node_results
-                    .iter()
-                    .fold(0u64, |acc, &r| acc.wrapping_add(r)),
-                messages: out.messages,
-                notifications: out.notifications,
-                svm: None,
-            };
-        }
-        if *self == App::KvNodes {
-            // The replicated KV service builds its own sharded cluster;
-            // one shard is the reference execution and every count agrees.
-            let params = spec::kv_params_for(scale_of(harness), nodes, 1);
-            let out = shrimp_apps::run_kv(&params, cfg, shrimp_core::Shards::Fixed(1));
-            return RunOutcome {
-                elapsed: out.elapsed,
-                checksum: out
-                    .node_results
-                    .iter()
-                    .fold(0u64, |acc, &r| acc.wrapping_add(r)),
-                messages: out.messages,
-                notifications: out.notifications,
-                svm: None,
-            };
-        }
         let cluster = Cluster::builder(nodes).config(cfg).build();
         if harness.trace {
             cluster.sim().trace().enable(Some(harness.trace_capacity));

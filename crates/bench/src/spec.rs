@@ -501,68 +501,88 @@ impl RunSpec {
     /// Runs the spec to completion on a fresh cluster and collects the
     /// deterministic metrics.
     pub fn execute(&self) -> RunRecord {
-        self.execute_timed().0
+        self.execute_at(1, false, None)
+            .expect("a run without a checkpoint rejects none")
+            .record
     }
 
-    /// [`RunSpec::execute`] plus a host-side [`PerfSample`]: wall-clock time
-    /// around cluster construction + run + metric capture, and the number of
-    /// simulator events the run dispatched. The sample is returned beside the
-    /// record — never inside it — so the deterministic artifact cannot pick
-    /// up host timing.
-    pub fn execute_timed(&self) -> (RunRecord, PerfSample) {
-        self.execute_timed_at(1)
-    }
-
-    /// [`RunSpec::execute_timed`] under a sweep-wide `--shards` setting.
-    /// Only engine-parallel runs with [`Shards::Auto`] are affected;
-    /// everything else (and every [`RunRecord`]) is independent of it.
-    pub fn execute_timed_at(&self, cli_shards: usize) -> (RunRecord, PerfSample) {
-        let (record, perf, _) = self.execute_inner(false, cli_shards);
-        (record, perf)
-    }
-
-    /// [`RunSpec::execute_timed`] with the observability plane switched on:
-    /// the simulator's [`TraceSink`](shrimp_sim::TraceSink) and
+    /// [`RunSpec::execute`] with the observability plane switched on: the
+    /// simulator's [`TraceSink`](shrimp_sim::TraceSink) and
     /// [`MetricsRegistry`](shrimp_sim::MetricsRegistry) record throughout
     /// the run, and everything they captured comes back as an
-    /// [`Observation`]. The plain `execute`/`execute_timed` paths never
-    /// enable either, so their artifacts stay byte-identical.
+    /// [`Observation`] beside the record and the host-side [`PerfSample`].
     pub fn execute_observed(&self) -> (RunRecord, PerfSample, Observation) {
-        self.execute_observed_at(1)
+        let run = self
+            .execute_at(1, true, None)
+            .expect("a run without a checkpoint rejects none");
+        let obs = run.obs.expect("an observed run carries an observation");
+        (run.record, run.perf, obs)
     }
 
-    /// [`RunSpec::execute_observed`] under a sweep-wide `--shards` setting
-    /// (see [`RunSpec::execute_timed_at`]).
-    pub fn execute_observed_at(&self, cli_shards: usize) -> (RunRecord, PerfSample, Observation) {
-        let (record, perf, obs) = self.execute_inner(true, cli_shards);
-        (
-            record,
-            perf,
-            obs.expect("observed run must yield an observation"),
-        )
-    }
-
-    fn execute_inner(
+    /// The run envelope: every row of the matrix executes here. It starts
+    /// the host clock, runs the app's body, and samples the [`PerfSample`]
+    /// once — wall-clock around cluster construction, run, metric capture
+    /// and teardown. The sample travels beside the record, never inside
+    /// it, so the deterministic artifact cannot pick up host timing.
+    ///
+    /// None of the three host-side inputs reaches the [`RunRecord`]:
+    /// - `cli_shards` is the sweep-wide `--shards` setting, followed only
+    ///   by shard-engine rows whose spec says [`Shards::Auto`];
+    /// - `observe` switches the trace and metrics planes on. Classic
+    ///   single-`Sim` rows fill the [`Observation`]; shard-engine rows
+    ///   yield an empty one, because per-shard trace interleavings are a
+    ///   host-layout detail the deterministic artifacts must not depend
+    ///   on. Unobserved runs never enable either plane;
+    /// - `checkpoint` is an encoded [`ClusterCheckpoint`] (the harness
+    ///   `--checkpoint-in` payload) that warm-start rows resume from
+    ///   instead of running their warmup phase. Other rows ignore it.
+    ///
+    /// # Errors
+    ///
+    /// Warm-start rows only: any [`shrimp_sim::SnapshotError`] from
+    /// decoding `checkpoint`, and
+    /// [`FingerprintMismatch`](shrimp_sim::SnapshotError::FingerprintMismatch)
+    /// when it was produced by a different workload shape (scale, nodes,
+    /// or seed) than this spec.
+    pub fn execute_at(
         &self,
-        observe: bool,
         cli_shards: usize,
-    ) -> (RunRecord, PerfSample, Option<Observation>) {
-        if self.app == App::ParallelNodes {
-            return self.execute_parallel(observe, cli_shards);
-        }
-        if self.app == App::ClusterNodes {
-            return self.execute_cluster(observe, cli_shards);
-        }
-        if self.app == App::KvNodes {
-            return self.execute_kv(observe, cli_shards);
-        }
-        if self.app == App::WarmClusterNodes {
-            let (record, perf, _) = self
-                .execute_warm_at(cli_shards, None)
-                .expect("a cold warm-cluster run consumes no external checkpoint");
-            return (record, perf, observe.then(Observation::default));
-        }
+        observe: bool,
+        checkpoint: Option<&[u8]>,
+    ) -> Result<Execution, shrimp_sim::SnapshotError> {
         let start = std::time::Instant::now();
+        let shards = self.effective_shards(cli_shards);
+        let body = match self.app {
+            App::ParallelNodes => self.parallel_body(shards),
+            App::ClusterNodes => self.cluster_body(shards),
+            App::KvNodes => self.kv_body(shards),
+            App::WarmClusterNodes => self.warm_body(shards, checkpoint)?,
+            _ => self.classic_body(observe),
+        };
+        let wall_ns = start.elapsed().as_nanos() as u64;
+        Ok(Execution {
+            record: body.record,
+            perf: PerfSample {
+                wall_ns,
+                events: body.events,
+                peak_rss_bytes: peak_rss_bytes(),
+                shards: body.shards,
+            },
+            obs: observe.then(|| body.obs.unwrap_or_default()),
+            checkpoint: body.checkpoint,
+        })
+    }
+
+    /// Recovery metrics only exist on chaos/reliability runs; plain rows
+    /// omit them so their serialized form is byte-identical to before the
+    /// fault plane existed.
+    fn records_recovery(&self) -> bool {
+        self.knobs.reliability || self.knobs.faults.is_active()
+    }
+
+    /// The classic body: one single-`Sim` cluster running a Table 1
+    /// application via [`RunSpec::run_on`].
+    fn classic_body(&self, observe: bool) -> Body {
         let cluster = Cluster::builder(self.nodes)
             .config(self.design_config())
             .build();
@@ -575,10 +595,7 @@ impl RunSpec {
         }
         let out = self.run_on(&cluster);
         let report = ClusterReport::capture(&cluster, out.elapsed);
-        // Recovery metrics only exist on chaos/reliability runs; plain rows
-        // omit them so their serialized form is byte-identical to before
-        // the fault plane existed.
-        let recovery = (self.knobs.reliability || self.knobs.faults.is_active()).then(|| {
+        let recovery = self.records_recovery().then(|| {
             let nic_sum = |f: &dyn Fn(&shrimp_nic::NicCounters) -> u64| -> u64 {
                 (0..cluster.num_nodes())
                     .map(|i| f(cluster.nic(i).counters()))
@@ -593,301 +610,143 @@ impl RunSpec {
                 recovery_time_ps: cluster.total(|s| s.recovery_time.get()),
             }
         });
-        let record = RunRecord {
-            elapsed: out.elapsed,
-            checksum: out.checksum,
-            messages: out.messages,
-            notifications: out.notifications,
-            interrupts: cluster.total(|s| s.interrupts_taken.get()),
-            syscalls: cluster.total(|s| s.syscalls.get()),
-            net_packets: report.net_packets,
-            net_bytes: report.net_bytes,
-            recovery,
-            kv: None,
-        };
-        let events = cluster.sim().events();
-        let observation = observe.then(|| Observation {
-            events: cluster.sim().trace().take(),
-            trace_dropped: cluster.sim().trace().dropped(),
-            metrics: cluster.sim().metrics().snapshot(),
-        });
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        (
-            record,
-            PerfSample {
-                wall_ns,
-                events,
-                peak_rss_bytes: peak_rss_bytes(),
-                shards: 1,
+        Body {
+            record: RunRecord {
+                elapsed: out.elapsed,
+                checksum: out.checksum,
+                messages: out.messages,
+                notifications: out.notifications,
+                interrupts: cluster.total(|s| s.interrupts_taken.get()),
+                syscalls: cluster.total(|s| s.syscalls.get()),
+                net_packets: report.net_packets,
+                net_bytes: report.net_bytes,
+                recovery,
+                kv: None,
             },
-            observation,
-        )
+            events: cluster.sim().events(),
+            shards: 1,
+            obs: observe.then(|| Observation {
+                events: cluster.sim().trace().take(),
+                trace_dropped: cluster.sim().trace().dropped(),
+                metrics: cluster.sim().metrics().snapshot(),
+            }),
+            checkpoint: None,
+        }
     }
 
-    /// The distributed-cluster execution path: the full SHRIMP stack on
-    /// the shard engine via [`shrimp_core::run_distributed`] — or, when
-    /// the knobs carry a fault scenario,
-    /// [`shrimp_core::run_chaos_distributed`] with the default heartbeat
-    /// failure detector for the row's node count. The
-    /// [`RunRecord`] comes from the shard-count-invariant
-    /// [`LaunchOutcome`](shrimp_core::LaunchOutcome) — byte-identical at
-    /// every shard count — while the [`PerfSample`] (wall-clock, executor
-    /// events, effective shards) sees the parallelism. Like the
-    /// engine-parallel path, an observed run yields an empty
-    /// [`Observation`]: per-shard trace interleavings are a host-layout
-    /// detail the deterministic artifacts must not depend on.
-    fn execute_cluster(
-        &self,
-        observe: bool,
-        cli_shards: usize,
-    ) -> (RunRecord, PerfSample, Option<Observation>) {
-        let start = std::time::Instant::now();
+    /// The engine-parallel body: no cluster, no trace/metrics plane. The
+    /// record comes from the commutative [`shrimp_core::ParallelOutcome`]
+    /// metrics, so it is byte-identical at every shard count.
+    fn parallel_body(&self, shards: usize) -> Body {
+        let out = run_parallel(&parallel_params_at(self.scale), shards);
+        Body {
+            record: RunRecord {
+                elapsed: out.elapsed,
+                checksum: out.checksum,
+                messages: out.messages,
+                notifications: 0,
+                interrupts: 0,
+                syscalls: 0,
+                net_packets: out.messages,
+                net_bytes: out.bytes,
+                recovery: None,
+                kv: None,
+            },
+            events: out.events,
+            shards,
+            obs: None,
+            checkpoint: None,
+        }
+    }
+
+    /// The distributed-cluster body: the full SHRIMP stack on the shard
+    /// engine via [`shrimp_core::run_distributed`] — or, when the knobs
+    /// carry a fault scenario, [`shrimp_core::run_chaos_distributed`] with
+    /// the default heartbeat failure detector for the row's node count.
+    fn cluster_body(&self, shards: usize) -> Body {
         let mut params = distributed_params_at(self.scale).scaled_to(self.nodes);
         params.seed = self.seed;
-        let shards = self.effective_shards(cli_shards);
-        let chaos = self.knobs.faults.is_active();
-        let out = if chaos {
-            run_chaos_distributed(
-                &params,
-                self.design_config(),
-                Shards::Fixed(shards),
-                HeartbeatConfig::for_nodes(self.nodes),
-            )
+        let shards = Shards::Fixed(shards);
+        let out = if self.knobs.faults.is_active() {
+            let detector = HeartbeatConfig::for_nodes(self.nodes);
+            run_chaos_distributed(&params, self.design_config(), shards, detector)
         } else {
-            run_distributed(&params, self.design_config(), Shards::Fixed(shards))
+            run_distributed(&params, self.design_config(), shards)
         };
-        let checksum = out
-            .node_results
-            .iter()
-            .fold(0u64, |acc, &r| acc.wrapping_add(r));
-        // Same serialization rule as the classic path: recovery metrics
-        // appear only on chaos/reliability rows, so plain cluster rows
-        // stay byte-identical.
-        let recovery = (self.knobs.reliability || chaos).then_some(Recovery {
-            retransmits: out.retransmits,
-            corrupt_detected: out.corrupt_detected,
-            dup_suppressed: out.dup_suppressed,
-            faults_injected: out.faults_injected,
-            detection_latency_ps: out.detection_latency_ps,
-            recovery_time_ps: out.recovery_time_ps,
-        });
-        let record = RunRecord {
-            elapsed: out.elapsed,
-            checksum,
-            messages: out.messages,
-            notifications: out.notifications,
-            interrupts: out.interrupts,
-            syscalls: out.syscalls,
-            net_packets: out.net_packets,
-            net_bytes: out.net_bytes,
-            recovery,
-            kv: None,
-        };
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        (
-            record,
-            PerfSample {
-                wall_ns,
-                events: out.events,
-                peak_rss_bytes: peak_rss_bytes(),
-                shards: out.shards,
-            },
-            observe.then(Observation::default),
-        )
+        self.launch_body(&out)
     }
 
-    /// The replicated-KV execution path ([`App::KvNodes`]): the service
-    /// of `shrimp_apps::kv` on the `launch()` path, always with the
-    /// metrics plane on — the row's tail-latency quantiles come out of
-    /// the merged `(App, "kv_req_ps")` histogram, which is part of the
-    /// shard-count-invariant [`LaunchOutcome`](shrimp_core::LaunchOutcome),
-    /// so the [`KvMetrics`] block is byte-identical at every shard count
-    /// like the rest of the [`RunRecord`]. Like the other shard-engine
-    /// paths, an observed run yields an empty [`Observation`].
-    fn execute_kv(
-        &self,
-        observe: bool,
-        cli_shards: usize,
-    ) -> (RunRecord, PerfSample, Option<Observation>) {
-        let start = std::time::Instant::now();
+    /// The replicated-KV body ([`App::KvNodes`]): the service of
+    /// `shrimp_apps::kv` on the `launch()` path, always with the metrics
+    /// plane on — the row's tail-latency quantiles come out of the merged
+    /// `(App, "kv_req_ps")` histogram of the shard-count-invariant
+    /// [`LaunchOutcome`].
+    fn kv_body(&self, shards: usize) -> Body {
         let params = kv_params_for(self.scale, self.nodes, self.seed);
-        let shards = self.effective_shards(cli_shards);
         let out = run_kv(&params, self.design_config(), Shards::Fixed(shards));
-        let checksum = out
-            .node_results
-            .iter()
-            .fold(0u64, |acc, &r| acc.wrapping_add(r));
-        let chaos = self.knobs.faults.is_active();
-        let recovery = (self.knobs.reliability || chaos).then_some(Recovery {
-            retransmits: out.retransmits,
-            corrupt_detected: out.corrupt_detected,
-            dup_suppressed: out.dup_suppressed,
-            faults_injected: out.faults_injected,
-            detection_latency_ps: out.detection_latency_ps,
-            recovery_time_ps: out.recovery_time_ps,
-        });
-        let kv = Some(KvMetrics::capture(&params, &out));
-        let record = RunRecord {
-            elapsed: out.elapsed,
-            checksum,
-            messages: out.messages,
-            notifications: out.notifications,
-            interrupts: out.interrupts,
-            syscalls: out.syscalls,
-            net_packets: out.net_packets,
-            net_bytes: out.net_bytes,
-            recovery,
-            kv,
-        };
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        (
-            record,
-            PerfSample {
-                wall_ns,
-                events: out.events,
-                peak_rss_bytes: peak_rss_bytes(),
-                shards: out.shards,
-            },
-            observe.then(Observation::default),
-        )
+        let mut body = self.launch_body(&out);
+        body.record.kv = Some(KvMetrics::capture(&params, &out));
+        body
     }
 
-    /// The warm-start execution path ([`App::WarmClusterNodes`]).
-    ///
-    /// With `checkpoint` (an encoded
-    /// [`ClusterCheckpoint`], the harness
-    /// `--checkpoint-in` payload) the warmup phase is skipped entirely:
-    /// the machine restores from the artifact and runs only phase B —
-    /// the warm start. Without it the row runs **cold**: warmup under the
-    /// as-built machine, checkpoint encode + decode, then the identical
-    /// phase B — so cold and warm rows are byte-identical by construction
-    /// and differ only in wall-clock.
-    ///
-    /// Returns the record, the perf sample, and the encoded checkpoint
-    /// the row ran from (the input echoed back on warm starts, freshly
-    /// captured on cold runs — the harness `--checkpoint-out` payload).
-    ///
-    /// # Errors
-    ///
-    /// Any [`shrimp_sim::SnapshotError`] from decoding the artifact, and
-    /// [`FingerprintMismatch`](shrimp_sim::SnapshotError::FingerprintMismatch)
-    /// when it was produced by a different workload shape (scale, nodes,
-    /// or seed) than this spec.
+    /// The warm-start body ([`App::WarmClusterNodes`]). With `checkpoint`
+    /// the warmup phase is skipped: the machine restores from the artifact
+    /// and runs only phase B. Without it the row runs **cold**: warmup
+    /// under the as-built machine, checkpoint encode + decode, then the
+    /// identical phase B — so cold and warm rows are byte-identical by
+    /// construction and differ only in wall-clock. Either way the body
+    /// hands back the encoded checkpoint the row ran from.
     ///
     /// # Panics
     ///
-    /// Panics when called on any app but [`App::WarmClusterNodes`], or on
-    /// a spec whose knobs carry a fault scenario (the restore plane is
-    /// fault-free).
-    pub fn execute_warm_at(
+    /// Panics on a spec whose knobs carry a fault scenario (the restore
+    /// plane is fault-free).
+    fn warm_body(
         &self,
-        cli_shards: usize,
+        shards: usize,
         checkpoint: Option<&[u8]>,
-    ) -> Result<(RunRecord, PerfSample, Vec<u8>), shrimp_sim::SnapshotError> {
-        assert_eq!(
-            self.app,
-            App::WarmClusterNodes,
-            "execute_warm_at only runs warm-cluster rows"
-        );
+    ) -> Result<Body, shrimp_sim::SnapshotError> {
         assert!(
             !self.knobs.faults.is_active(),
             "warm-start rows cannot carry a fault scenario"
         );
-        let start = std::time::Instant::now();
         let params = warm_params_at(self.scale, self.nodes, self.seed);
-        let shards = self.effective_shards(cli_shards);
-        let cfg = self.design_config();
+        let (cfg, shards) = (self.design_config(), Shards::Fixed(shards));
         let (out, bytes) = match checkpoint {
             Some(bytes) => {
                 let ckpt = ClusterCheckpoint::decode(bytes)?;
-                let out = run_warm(&params, cfg, Shards::Fixed(shards), &ckpt)?;
-                (out, bytes.to_vec())
+                (run_warm(&params, cfg, shards, &ckpt)?, bytes.to_vec())
             }
-            None => run_cold(&params, cfg, Shards::Fixed(shards)),
+            None => run_cold(&params, cfg, shards),
         };
-        let record = Self::record_of_launch(&out);
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        Ok((
-            record,
-            PerfSample {
-                wall_ns,
-                events: out.events,
-                peak_rss_bytes: peak_rss_bytes(),
-                shards: out.shards,
-            },
-            bytes,
-        ))
+        Ok(Body {
+            checkpoint: Some(bytes),
+            ..self.launch_body(&out)
+        })
     }
 
-    /// The fault-free [`RunRecord`] of a phase-B
-    /// [`LaunchOutcome`](shrimp_core::LaunchOutcome).
-    fn record_of_launch(out: &LaunchOutcome) -> RunRecord {
-        RunRecord {
-            elapsed: out.elapsed,
-            checksum: out
-                .node_results
-                .iter()
-                .fold(0u64, |acc, &r| acc.wrapping_add(r)),
-            messages: out.messages,
-            notifications: out.notifications,
-            interrupts: out.interrupts,
-            syscalls: out.syscalls,
-            net_packets: out.net_packets,
-            net_bytes: out.net_bytes,
-            recovery: None,
-            kv: None,
+    /// The body of a finished `launch()` row: the shard-count-invariant
+    /// [`LaunchOutcome`] gives the record, while the executor events and
+    /// the effective shard count go to the [`PerfSample`].
+    fn launch_body(&self, out: &LaunchOutcome) -> Body {
+        Body {
+            record: RunRecord::of_launch(out, self.records_recovery()),
+            events: out.events,
+            shards: out.shards,
+            obs: None,
+            checkpoint: None,
         }
     }
 
-    /// The engine-parallel execution path: no cluster, no trace/metrics
-    /// plane (the shard workload records nothing into either, so an
-    /// observed run yields an empty [`Observation`]). The [`RunRecord`] is
-    /// built from the commutative [`shrimp_core::ParallelOutcome`] metrics
-    /// and is byte-identical at every shard count; only the
-    /// [`PerfSample`] — wall-clock and executor events — sees the
-    /// parallelism.
-    fn execute_parallel(
-        &self,
-        observe: bool,
-        cli_shards: usize,
-    ) -> (RunRecord, PerfSample, Option<Observation>) {
-        let start = std::time::Instant::now();
-        let out = run_parallel(
-            &parallel_params_at(self.scale),
-            self.effective_shards(cli_shards),
-        );
-        let record = RunRecord {
-            elapsed: out.elapsed,
-            checksum: out.checksum,
-            messages: out.messages,
-            notifications: 0,
-            interrupts: 0,
-            syscalls: 0,
-            net_packets: out.messages,
-            net_bytes: out.bytes,
-            recovery: None,
-            kv: None,
-        };
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        (
-            record,
-            PerfSample {
-                wall_ns,
-                events: out.events,
-                peak_rss_bytes: peak_rss_bytes(),
-                shards: self.effective_shards(cli_shards),
-            },
-            observe.then(Observation::default),
-        )
-    }
-
-    /// Runs the spec's application on a caller-provided cluster (the thin
-    /// bench wrappers use this to reuse [`RunOutcome`] directly).
+    /// Runs the spec's application on a caller-provided cluster: the
+    /// classic body of [`RunSpec::execute_at`], and the entry
+    /// [`App::run`] uses to trace or report on a cluster it built itself.
     ///
     /// # Panics
     ///
-    /// Panics for [`App::ParallelNodes`], which has no cluster; engine
-    /// runs go through [`RunSpec::execute_timed_at`].
+    /// Panics for the apps that are not in [`App::all`]: they have no
+    /// cluster or build their own sharded ones, so they run only through
+    /// [`RunSpec::execute_at`].
     pub fn run_on(&self, cluster: &Cluster) -> RunOutcome {
         let scale = self.scale;
         match self.app {
@@ -986,6 +845,33 @@ pub struct RunRecord {
     pub kv: Option<KvMetrics>,
 }
 
+/// What one pass through the run envelope ([`RunSpec::execute_at`])
+/// produced.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Execution {
+    /// The deterministic metrics.
+    pub record: RunRecord,
+    /// The host-side sample, taken once around the whole run.
+    pub perf: PerfSample,
+    /// What the observability plane captured; present exactly when the
+    /// run was observed.
+    pub obs: Option<Observation>,
+    /// The encoded [`ClusterCheckpoint`] a warm-start row ran from: the
+    /// input echoed back on warm starts, freshly captured on cold runs
+    /// (the harness `--checkpoint-out` payload). `None` on other rows.
+    pub checkpoint: Option<Vec<u8>>,
+}
+
+/// What a per-app body hands the run envelope: everything that differs
+/// between apps. The envelope adds the host clock and the peak RSS.
+struct Body {
+    record: RunRecord,
+    events: u64,
+    shards: usize,
+    obs: Option<Observation>,
+    checkpoint: Option<Vec<u8>>,
+}
+
 /// Host-side performance sample of one run. Carried *beside* the
 /// deterministic [`RunRecord`], never inside it: wall-clock depends on the
 /// machine, the load and the build, so it must stay out of `sweep.json`
@@ -993,7 +879,7 @@ pub struct RunRecord {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PerfSample {
     /// Host wall-clock nanoseconds for the whole run (cluster construction,
-    /// simulation and metric capture).
+    /// simulation, metric capture and teardown).
     pub wall_ns: u64,
     /// Simulator events dispatched (task polls + timer fires) — the
     /// deterministic work measure that turns `wall_ns` into events/sec.
@@ -1114,6 +1000,34 @@ impl KvMetrics {
 }
 
 impl RunRecord {
+    /// The record of a finished `launch()` run, with the fault-recovery
+    /// block when `recovery` asks for it. The checksum sums the per-node
+    /// results, so it is independent of the shard layout.
+    fn of_launch(out: &LaunchOutcome, recovery: bool) -> RunRecord {
+        RunRecord {
+            elapsed: out.elapsed,
+            checksum: out
+                .node_results
+                .iter()
+                .fold(0u64, |acc, &r| acc.wrapping_add(r)),
+            messages: out.messages,
+            notifications: out.notifications,
+            interrupts: out.interrupts,
+            syscalls: out.syscalls,
+            net_packets: out.net_packets,
+            net_bytes: out.net_bytes,
+            recovery: recovery.then_some(Recovery {
+                retransmits: out.retransmits,
+                corrupt_detected: out.corrupt_detected,
+                dup_suppressed: out.dup_suppressed,
+                faults_injected: out.faults_injected,
+                detection_latency_ps: out.detection_latency_ps,
+                recovery_time_ps: out.recovery_time_ps,
+            }),
+            kv: None,
+        }
+    }
+
     /// The gated metrics as stable `(name, value)` pairs — the flat row
     /// schema shared by `sweep.json` and the committed baselines.
     /// Recovery and KV metrics are appended only when present.
@@ -1533,6 +1447,12 @@ pub fn matrix(scale: Scale, max_nodes: usize) -> Vec<RunSpec> {
 mod tests {
     use super::*;
 
+    /// One unobserved pass through the envelope at a `--shards` setting.
+    fn timed(spec: &RunSpec, cli_shards: usize) -> (RunRecord, PerfSample) {
+        let run = spec.execute_at(cli_shards, false, None).unwrap();
+        (run.record, run.perf)
+    }
+
     #[test]
     fn ids_are_unique_and_stable() {
         let specs = matrix(Scale::Smoke, 4);
@@ -1641,20 +1561,20 @@ mod tests {
     fn parallel_record_is_shard_count_invariant() {
         // The Auto row follows the CLI shard count; the record must not.
         let auto = RunSpec::new("parallel", App::ParallelNodes, 16, Scale::Smoke);
-        let (one, perf1) = auto.execute_timed_at(1);
-        let (four, perf4) = auto.execute_timed_at(4);
+        let (one, perf1) = timed(&auto, 1);
+        let (four, perf4) = timed(&auto, 4);
         assert_eq!(one, four, "CLI shard count leaked into the record");
         assert!(perf1.events > 0 && perf1.events == perf4.events);
         // A Fixed pin beats the CLI and is visible only in the id.
         let pinned = auto.clone().with_shards(Shards::Fixed(2));
         assert_eq!(pinned.effective_shards(4), 2);
         assert_eq!(auto.effective_shards(4), 4);
-        let (two, _) = pinned.execute_timed_at(4);
+        let (two, _) = timed(&pinned, 4);
         assert_eq!(one, two);
         // Observed engine runs yield an empty observation, deterministically.
-        let (rec, _, obs) = auto.execute_observed_at(2);
-        assert_eq!(rec, one);
-        assert_eq!(obs, Observation::default());
+        let run = auto.execute_at(2, true, None).unwrap();
+        assert_eq!(run.record, one);
+        assert_eq!(run.obs, Some(Observation::default()));
     }
 
     #[test]
@@ -1662,15 +1582,15 @@ mod tests {
         // The 16-node Auto row: the CLI shard count reaches the perf
         // sample but never the record.
         let auto = RunSpec::new("cluster", App::ClusterNodes, 16, Scale::Smoke);
-        let (one, perf1) = auto.execute_timed_at(1);
-        let (four, perf4) = auto.execute_timed_at(4);
+        let (one, perf1) = timed(&auto, 1);
+        let (four, perf4) = timed(&auto, 4);
         assert_eq!(one, four, "CLI shard count leaked into the record");
         assert_eq!((perf1.shards, perf4.shards), (1, 4));
         assert!(one.messages > 0 && one.notifications > 0 && one.interrupts > 0);
         // A Fixed pin beats the CLI.
         let pinned = auto.clone().with_shards(Shards::Fixed(2));
         assert_eq!(pinned.effective_shards(4), 2);
-        let (two, perf2) = pinned.execute_timed_at(4);
+        let (two, perf2) = timed(&pinned, 4);
         assert_eq!(one, two);
         assert_eq!(perf2.shards, 2);
     }
@@ -1681,9 +1601,9 @@ mod tests {
         // KV metrics block included, since the latency histogram merges
         // commutatively across shards — must not.
         let auto = RunSpec::new("kv", App::KvNodes, 16, Scale::Smoke);
-        let (one, perf1) = auto.execute_timed_at(1);
-        let (two, _) = auto.execute_timed_at(2);
-        let (four, perf4) = auto.execute_timed_at(4);
+        let (one, perf1) = timed(&auto, 1);
+        let (two, _) = timed(&auto, 2);
+        let (four, perf4) = timed(&auto, 4);
         assert_eq!(one, two, "--shards 2 leaked into the kv record");
         assert_eq!(one, four, "--shards 4 leaked into the kv record");
         assert_eq!((perf1.shards, perf4.shards), (1, 4));
@@ -1709,8 +1629,8 @@ mod tests {
             .iter()
             .find(|s| s.experiment == "kv" && s.knobs.faults.crash.is_some())
             .expect("kv group lost its crash row");
-        let (one, _) = spec.execute_timed_at(1);
-        let (four, _) = spec.execute_timed_at(4);
+        let (one, _) = timed(spec, 1);
+        let (four, _) = timed(spec, 4);
         assert_eq!(one, four, "--shards 4 leaked into the kv chaos row");
         let kv = one.kv.expect("kv chaos row lacks its KV metrics block");
         assert_eq!(
@@ -1727,6 +1647,37 @@ mod tests {
         );
     }
 
+    /// One row per body of the run envelope: the plain and the observed
+    /// pass agree on the record and the event count, so observing never
+    /// steers a run. Only the classic single-`Sim` body records a
+    /// timeline; the shard-engine bodies yield an empty observation.
+    #[test]
+    fn observing_changes_neither_record_nor_events_in_any_body() {
+        let specs = matrix(Scale::Smoke, 4);
+        for id in [
+            "fig3/radix-svm-aurc/p2/as-built",
+            "parallel/engine-parallel-default/p16/as-built",
+            "cluster/cluster-distributed-default/p16/as-built",
+            "kv/kv-replicated-default/p16/as-built",
+            "warm/cluster-warm-default/p64/as-built",
+        ] {
+            let spec = specs
+                .iter()
+                .find(|s| s.id() == id)
+                .unwrap_or_else(|| panic!("matrix lost {id}"));
+            let plain = spec.execute_at(1, false, None).unwrap();
+            let (record, perf, obs) = spec.execute_observed();
+            assert!(plain.obs.is_none(), "{id}: unobserved run observed");
+            assert_eq!(plain.record, record, "{id}: observing changed the record");
+            assert_eq!(
+                plain.perf.events, perf.events,
+                "{id}: observing changed the events"
+            );
+            let classic = App::all().contains(&spec.app);
+            assert_eq!(!obs.events.is_empty(), classic, "{id}: timeline");
+        }
+    }
+
     /// Every warm row forks from one shared checkpoint artifact, matches
     /// its own cold run byte-for-byte, and refuses foreign checkpoints.
     #[test]
@@ -1736,16 +1687,21 @@ mod tests {
             .filter(|s| s.experiment == "warm")
             .collect();
         assert_eq!(rows.len(), 3, "the warm group lost rows");
-        let (_, _, bytes) = rows[0].execute_warm_at(1, None).unwrap();
+        let bytes = rows[0].execute_at(1, false, None).unwrap().checkpoint;
+        let bytes = bytes.expect("a cold warm row captures its checkpoint");
         for row in &rows {
-            let (warm, _, echoed) = row.execute_warm_at(2, Some(&bytes)).unwrap();
-            let (cold, _) = row.execute_timed_at(1);
-            assert_eq!(warm, cold, "{} diverged warm vs cold", row.id());
-            assert_eq!(echoed, bytes, "warm start must echo its input artifact");
+            let warm = row.execute_at(2, false, Some(&bytes)).unwrap();
+            let (cold, _) = timed(row, 1);
+            assert_eq!(warm.record, cold, "{} diverged warm vs cold", row.id());
+            assert_eq!(
+                warm.checkpoint.as_ref(),
+                Some(&bytes),
+                "warm start must echo its input artifact"
+            );
         }
         let foreign = rows[0].clone().with_seed(9);
         assert!(matches!(
-            foreign.execute_warm_at(1, Some(&bytes)),
+            foreign.execute_at(1, false, Some(&bytes)),
             Err(shrimp_sim::SnapshotError::FingerprintMismatch)
         ));
     }
@@ -1758,12 +1714,12 @@ mod tests {
             .into_iter()
             .find(|s| s.experiment == "chaos-cluster" && s.knobs.faults.label() == "crashres5")
             .expect("matrix lost the 64-node crash/restart row");
-        let (one, _) = spec.execute_timed_at(1);
+        let (one, _) = timed(&spec, 1);
         let r = one.recovery.as_ref().expect("chaos row without recovery");
         assert_eq!(r.faults_injected, 1);
         assert!(r.detection_latency_ps > 0, "crash went undetected");
         assert!(r.recovery_time_ps > 0, "restart went unwitnessed");
-        let (four, perf4) = spec.execute_timed_at(4);
+        let (four, perf4) = timed(&spec, 4);
         assert_eq!(one, four, "chaos-cluster record diverged across shards");
         assert_eq!(perf4.shards, 4);
     }

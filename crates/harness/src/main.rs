@@ -57,7 +57,9 @@ FLAGS:
   --trace-out <PATH>  run with tracing + metrics enabled and export each
                       run's timeline as Chrome trace_event JSON (open in
                       chrome://tracing or ui.perfetto.dev); with several
-                      runs, PATH gains a per-run id suffix. Also embeds
+                      runs, PATH gains a per-run id suffix. Rows that
+                      record no timeline (the shard-engine groups) write
+                      no file. Also embeds
                       observed metrics in the sweep rows, so combine with
                       --filter and don't gate the output against a
                       baseline recorded without it
@@ -122,14 +124,9 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         match arg.as_str() {
             "--smoke" => cli.scale = Scale::Smoke,
             "--full" => cli.scale = Scale::Full,
-            "--nodes" => cli.nodes = Some(parse_num(&value("--nodes")?)?),
+            "--nodes" => cli.nodes = Some(parse_positive("--nodes", &value("--nodes")?)?),
             "--workers" => cli.workers = Some(parse_num(&value("--workers")?)?),
-            "--shards" => {
-                cli.shards = parse_num(&value("--shards")?)?;
-                if cli.shards == 0 {
-                    return Err("--shards must be at least 1".to_string());
-                }
-            }
+            "--shards" => cli.shards = parse_positive("--shards", &value("--shards")?)?,
             "--require-speedup" => {
                 let v = value("--require-speedup")?;
                 cli.require_speedup =
@@ -138,7 +135,8 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--filter" => cli.filter = Some(value("--filter")?),
             "--experiment" => cli.experiment = Some(value("--experiment")?),
             "--timeout-secs" => {
-                cli.timeout = Duration::from_secs(parse_num(&value("--timeout-secs")?)? as u64)
+                let secs = parse_positive("--timeout-secs", &value("--timeout-secs")?)?;
+                cli.timeout = Duration::from_secs(secs as u64)
             }
             "--out" => cli.out = Some(PathBuf::from(value("--out")?)),
             "--baseline" => cli.baseline = Some(PathBuf::from(value("--baseline")?)),
@@ -165,6 +163,15 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
 
 fn parse_num(s: &str) -> Result<usize, String> {
     s.parse().map_err(|_| format!("'{s}' is not a number"))
+}
+
+/// A count where zero makes every run fail: no nodes, no shards, or no
+/// time to finish.
+fn parse_positive(flag: &str, s: &str) -> Result<usize, String> {
+    match parse_num(s)? {
+        0 => Err(format!("{flag} must be at least 1")),
+        n => Ok(n),
+    }
 }
 
 /// With several observed runs, `--trace-out results/trace.json` fans out to
@@ -310,8 +317,20 @@ fn main() -> ExitCode {
     }
 
     if let Some(trace_path) = &cli.trace_out {
-        let observed: Vec<_> = results.iter().filter(|r| r.obs.is_some()).collect();
-        for r in &observed {
+        // Shard-engine rows return an empty observation: per-shard
+        // interleavings are no deterministic timeline, so there is
+        // nothing to export for them.
+        let (observed, empty): (Vec<_>, Vec<_>) = results
+            .iter()
+            .filter_map(|r| r.obs.as_ref().map(|obs| (r, obs)))
+            .partition(|(_, obs)| !obs.events.is_empty());
+        for (r, _) in &empty {
+            println!(
+                "no trace for {}: the run recorded no trace events",
+                r.spec.id()
+            );
+        }
+        for (r, obs) in &observed {
             let id = r.spec.id();
             let path = if observed.len() == 1 {
                 trace_path.clone()
@@ -321,14 +340,14 @@ fn main() -> ExitCode {
             if let Some(parent) = path.parent() {
                 let _ = std::fs::create_dir_all(parent);
             }
-            let doc = chrome::to_chrome_json(&id, r.obs.as_ref().expect("observed run"));
+            let doc = chrome::to_chrome_json(&id, obs);
             if let Err(e) = std::fs::write(&path, doc) {
                 eprintln!("error: writing {}: {e}", path.display());
                 return ExitCode::from(2);
             }
             println!("wrote trace {}", path.display());
         }
-        if observed.is_empty() {
+        if observed.is_empty() && empty.is_empty() {
             println!("no completed runs to trace");
         }
     }
@@ -467,5 +486,25 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn zero_counts_are_usage_errors() {
+        for flag in ["--nodes", "--shards", "--timeout-secs"] {
+            let err = parse(&["--smoke", flag, "0"]).err();
+            assert_eq!(err, Some(format!("{flag} must be at least 1")));
+        }
+        let cli = parse(&["--nodes", "1", "--shards", "1", "--timeout-secs", "30"]).unwrap();
+        assert_eq!((cli.nodes, cli.shards), (Some(1), 1));
+        assert_eq!(cli.timeout, Duration::from_secs(30));
     }
 }
