@@ -13,7 +13,8 @@
 use shrimp_apps::dfs::run_dfs;
 use shrimp_apps::radix::run_radix_vmmc;
 use shrimp_apps::Mechanism;
-use shrimp_bench::{announce, dfs_params, max_nodes, print_table, radix_params, secs};
+use shrimp_bench::spec::{dfs_params_at, radix_params_at};
+use shrimp_bench::{announce, global_scale, max_nodes, render_table, secs};
 use shrimp_core::{Cluster, DesignConfig, RingBulk};
 use shrimp_sim::time;
 use shrimp_sockets::SocketConfig;
@@ -21,6 +22,7 @@ use shrimp_sockets::SocketConfig;
 fn main() {
     announce("Ablations: sensitivity of headline results");
     let nodes = max_nodes();
+    let radix = radix_params_at(global_scale(), 1);
 
     // 1. Combining sub-page size on AU-bulk DFS.
     {
@@ -28,7 +30,7 @@ fn main() {
         for subpage in [64usize, 128, 256, 1024, 4096] {
             let mut cfg = DesignConfig::default();
             cfg.nic.combine_subpage = subpage;
-            let mut params = dfs_params();
+            let mut params = dfs_params_at(global_scale());
             params.clients = params.clients.min(nodes);
             let out = run_dfs(
                 &Cluster::builder(nodes).config(cfg).build(),
@@ -40,10 +42,13 @@ fn main() {
             );
             rows.push(vec![format!("{subpage}"), secs(out.elapsed)]);
         }
-        print_table(
-            "Combining sub-page size vs DFS (forced AU) time",
-            &["Sub-page (bytes)", "Time (s)"],
-            &rows,
+        print!(
+            "{}",
+            render_table(
+                "Combining sub-page size vs DFS (forced AU) time",
+                &["Sub-page (bytes)", "Time (s)"],
+                &rows,
+            )
         );
     }
 
@@ -55,12 +60,12 @@ fn main() {
             cfg.nic.eisa_bytes_per_sec = mbps * 1_000_000;
             let du = run_radix_vmmc(
                 &Cluster::builder(nodes).config(cfg.clone()).build(),
-                &radix_params(),
+                &radix,
                 Mechanism::DeliberateUpdate,
             );
             let au = run_radix_vmmc(
                 &Cluster::builder(nodes).config(cfg).build(),
-                &radix_params(),
+                &radix,
                 Mechanism::AutomaticUpdate,
             );
             rows.push(vec![
@@ -70,10 +75,13 @@ fn main() {
                 format!("{:.2}x", du.elapsed as f64 / au.elapsed as f64),
             ]);
         }
-        print_table(
-            "I/O-bus DMA bandwidth vs Radix-VMMC DU/AU",
-            &["DMA MB/s", "DU (s)", "AU (s)", "AU advantage"],
-            &rows,
+        print!(
+            "{}",
+            render_table(
+                "I/O-bus DMA bandwidth vs Radix-VMMC DU/AU",
+                &["DMA MB/s", "DU (s)", "AU (s)", "AU advantage"],
+                &rows,
+            )
         );
         println!(
             "Both mechanisms ride the I/O bus; as it speeds up, the DU version\n\
@@ -90,7 +98,7 @@ fn main() {
             &Cluster::builder(nodes)
                 .config(DesignConfig::default())
                 .build(),
-            &radix_params(),
+            &radix,
             Mechanism::DeliberateUpdate,
         );
         for us in [5u64, 20, 50, 100] {
@@ -101,7 +109,7 @@ fn main() {
             };
             let out = run_radix_vmmc(
                 &Cluster::builder(nodes).config(cfg).build(),
-                &radix_params(),
+                &radix,
                 Mechanism::DeliberateUpdate,
             );
             rows.push(vec![
@@ -113,10 +121,13 @@ fn main() {
                 ),
             ]);
         }
-        print_table(
-            "Interrupt cost vs forced-interrupt slowdown (Radix-VMMC)",
-            &["Interrupt cost (us)", "Time (s)", "Slowdown"],
-            &rows,
+        print!(
+            "{}",
+            render_table(
+                "Interrupt cost vs forced-interrupt slowdown (Radix-VMMC)",
+                &["Interrupt cost (us)", "Time (s)", "Slowdown"],
+                &rows,
+            )
         );
     }
 
@@ -134,15 +145,18 @@ fn main() {
             };
             let out = run_radix_vmmc(
                 &Cluster::builder(nodes).config(cfg).build(),
-                &radix_params(),
+                &radix,
                 Mechanism::DeliberateUpdate,
             );
             rows.push(vec![format!("{ns}"), secs(out.elapsed)]);
         }
-        print_table(
-            "Router hop latency vs Radix-VMMC (DU) time",
-            &["Hop latency (ns)", "Time (s)"],
-            &rows,
+        print!(
+            "{}",
+            render_table(
+                "Router hop latency vs Radix-VMMC (DU) time",
+                &["Hop latency (ns)", "Time (s)"],
+                &rows,
+            )
         );
     }
 }

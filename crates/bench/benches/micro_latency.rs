@@ -5,7 +5,7 @@
 //! single-word end-to-end latency 3.71 us; user-level DMA send overhead
 //! under 2 us (vs a syscall-based send).
 
-use shrimp_bench::{announce, print_table};
+use shrimp_bench::{announce, render_table};
 use shrimp_core::{Cluster, DesignConfig, Vmmc};
 use shrimp_mem::{Vaddr, PAGE_SIZE};
 use shrimp_sim::{time, Time};
@@ -130,10 +130,13 @@ fn main() {
         format!("{:.2} us", time::to_us(send_overhead(true))),
         "tens of us".into(),
     ]);
-    print_table(
-        "Latency and overhead microbenchmarks",
-        &["Metric", "Measured", "Paper"],
-        &rows,
+    print!(
+        "{}",
+        render_table(
+            "Latency and overhead microbenchmarks",
+            &["Metric", "Measured", "Paper"],
+            &rows,
+        )
     );
 
     // Bandwidth sweep: one-way latency vs message size, both mechanisms.
@@ -153,18 +156,21 @@ fn main() {
             bw(au_nc),
         ]);
     }
-    print_table(
-        "One-way transfer time (us) and bandwidth (MB/s) vs size",
-        &[
-            "Bytes",
-            "DU us",
-            "DU MB/s",
-            "AU us",
-            "AU MB/s",
-            "AU-nocomb us",
-            "AU-nocomb MB/s",
-        ],
-        &rows,
+    print!(
+        "{}",
+        render_table(
+            "One-way transfer time (us) and bandwidth (MB/s) vs size",
+            &[
+                "Bytes",
+                "DU us",
+                "DU MB/s",
+                "AU us",
+                "AU MB/s",
+                "AU-nocomb us",
+                "AU-nocomb MB/s",
+            ],
+            &rows,
+        )
     );
     println!(
         "\nExpected shape: AU wins at one word; DU's DMA bandwidth wins for\n\

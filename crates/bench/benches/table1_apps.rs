@@ -2,7 +2,7 @@
 //! sequential execution time (1-node run; Ocean-NX reports its 2-node time,
 //! as in the paper's footnote).
 
-use shrimp_bench::{announce, print_table, secs, App};
+use shrimp_bench::{announce, render_table, secs, App};
 use shrimp_core::DesignConfig;
 
 fn main() {
@@ -26,9 +26,12 @@ fn main() {
             ),
         ]);
     }
-    print_table(
-        "Table 1: Characteristics of the applications",
-        &["Application", "API", "Problem Size", "Seq Exec Time (sec)"],
-        &rows,
+    print!(
+        "{}",
+        render_table(
+            "Table 1: Characteristics of the applications",
+            &["Application", "API", "Problem Size", "Seq Exec Time (sec)"],
+            &rows,
+        )
     );
 }

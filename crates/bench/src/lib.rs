@@ -1,23 +1,21 @@
-//! Experiment harness shared by the per-table/figure bench targets and the
-//! `shrimp-harness` sweep runner.
+//! Experiment specs shared by the `shrimp-harness` sweep runner and the
+//! few bench targets that print what the sweep cannot.
 //!
-//! Each bench target (`benches/*.rs`, `harness = false`) regenerates one
-//! table or figure of the paper by executing the corresponding
-//! [`spec::RunSpec`]s. Problem sizes default to scaled-down instances so
-//! `cargo bench` completes quickly; set `SHRIMP_FULL=1` for the paper's
-//! sizes (documented in `EXPERIMENTS.md`), and `SHRIMP_NODES=<n>` to
-//! override the 16-node default. Both are thin shims over the typed
-//! [`HarnessConfig`], which drivers can also build programmatically.
+//! [`spec::matrix`] enumerates every paper experiment as [`spec::RunSpec`]s;
+//! the harness runs them and prints the paper's tables from the results.
+//! The bench targets (`benches/*.rs`, `harness = false`) cover the rest:
+//! `table1_apps` (1-node sequential runs), `fig4_svm_au` (SVM time
+//! breakdowns), `micro_latency`, `ablations` and `engine_perf`. Problem
+//! sizes default to scaled-down instances so `cargo bench` completes
+//! quickly; set `SHRIMP_FULL=1` for the paper's sizes (documented in
+//! `EXPERIMENTS.md`), and `SHRIMP_NODES=<n>` to override the 16-node
+//! default. Both are thin shims over the typed [`HarnessConfig`], which
+//! drivers can also build programmatically.
 
 #![warn(missing_docs)]
 
 pub mod spec;
 
-use shrimp_apps::barnes::BarnesParams;
-use shrimp_apps::dfs::DfsParams;
-use shrimp_apps::ocean::OceanParams;
-use shrimp_apps::radix::RadixParams;
-use shrimp_apps::render::RenderParams;
 use shrimp_apps::RunOutcome;
 use shrimp_core::{Cluster, DesignConfig};
 use shrimp_sim::{time, Time};
@@ -53,41 +51,6 @@ pub fn max_nodes() -> usize {
 /// The scale selected by the process-global configuration.
 pub fn global_scale() -> Scale {
     scale_of(HarnessConfig::global())
-}
-
-/// Radix problem size at the global scale (paper: 2 M keys, 3 iters).
-pub fn radix_params() -> RadixParams {
-    spec::radix_params_at(global_scale(), 1)
-}
-
-/// Ocean-SVM problem size at the global scale (paper: 514 x 514).
-pub fn ocean_svm_params() -> OceanParams {
-    spec::ocean_svm_params_at(global_scale())
-}
-
-/// Ocean-NX problem size at the global scale (paper: 258 x 258).
-pub fn ocean_nx_params() -> OceanParams {
-    spec::ocean_nx_params_at(global_scale())
-}
-
-/// Barnes-NX problem size at the global scale (paper: 4 K bodies, 20 iters).
-pub fn barnes_nx_params() -> BarnesParams {
-    spec::barnes_nx_params_at(global_scale())
-}
-
-/// Barnes-SVM problem size at the global scale (paper: 16 K bodies).
-pub fn barnes_svm_params() -> BarnesParams {
-    spec::barnes_svm_params_at(global_scale())
-}
-
-/// DFS workload at the global scale.
-pub fn dfs_params() -> DfsParams {
-    spec::dfs_params_at(global_scale())
-}
-
-/// Render workload at the global scale.
-pub fn render_params() -> RenderParams {
-    spec::render_params_at(global_scale())
 }
 
 /// The applications of Table 1, with their default versions: AURC for the
@@ -189,46 +152,38 @@ impl App {
 
     /// Problem-size column of Table 1 for the current scale.
     pub fn problem_size(&self) -> String {
+        let scale = global_scale();
         match self {
-            App::BarnesSvm => format!("{} bodies", barnes_svm_params().bodies),
-            App::OceanSvm => {
-                let p = ocean_svm_params();
-                format!("{0} x {0}", p.n)
-            }
+            App::BarnesSvm => format!("{} bodies", spec::barnes_svm_params_at(scale).bodies),
+            App::OceanSvm => format!("{0} x {0}", spec::ocean_svm_params_at(scale).n),
             App::RadixSvm | App::RadixVmmc => {
-                let p = radix_params();
+                let p = spec::radix_params_at(scale, 1);
                 format!("{} keys, {} iters", p.total_keys, p.iters)
             }
             App::BarnesNx => {
-                let p = barnes_nx_params();
+                let p = spec::barnes_nx_params_at(scale);
                 format!("{} bodies, {} iters", p.bodies, p.steps)
             }
-            App::OceanNx => {
-                let p = ocean_nx_params();
-                format!("{0} x {0}", p.n)
-            }
-            App::DfsSockets => format!("{} clients", dfs_params().clients),
-            App::RenderSockets => {
-                let p = render_params();
-                format!("{0} x {0} image", p.image)
-            }
+            App::OceanNx => format!("{0} x {0}", spec::ocean_nx_params_at(scale).n),
+            App::DfsSockets => format!("{} clients", spec::dfs_params_at(scale).clients),
+            App::RenderSockets => format!("{0} x {0} image", spec::render_params_at(scale).image),
             App::ParallelNodes => {
-                let p = spec::parallel_params_at(global_scale());
+                let p = spec::parallel_params_at(scale);
                 format!("{} nodes x {} steps", p.nodes, p.steps)
             }
             App::ClusterNodes => {
-                let p = spec::distributed_params_at(global_scale());
+                let p = spec::distributed_params_at(scale);
                 format!("{} nodes x {} rounds", p.nodes, p.steps)
             }
             App::WarmClusterNodes => {
-                let p = spec::warm_params_at(global_scale(), 16, 1);
+                let p = spec::warm_params_at(scale, 16, 1);
                 format!(
                     "{} nodes x {} rounds ({} warmup)",
                     p.base.nodes, p.base.steps, p.warmup
                 )
             }
             App::KvNodes => {
-                let p = spec::kv_params_at(global_scale());
+                let p = spec::kv_params_at(scale);
                 format!(
                     "{}x{} replicas, {} keys, {} reqs/client",
                     p.groups, p.replication, p.keys, p.requests
@@ -291,38 +246,36 @@ impl App {
     }
 }
 
-/// Percentage increase of `new` over `base`.
-pub fn pct_increase(base: Time, new: Time) -> f64 {
-    assert!(base > 0);
-    (new as f64 - base as f64) / base as f64 * 100.0
-}
-
 /// Formats a simulated time as seconds with 2 decimals.
 pub fn secs(t: Time) -> String {
     format!("{:.2}", time::to_secs(t))
 }
 
-/// Prints a fixed-width table with a title line.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===");
+/// Renders a fixed-width table under a `=== title ===` line: left-aligned
+/// columns as wide as their widest cell, two spaces apart, and a dashed
+/// rule under the headers.
+pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
             widths[i] = widths[i].max(cell.len());
         }
     }
-    let line = |cells: Vec<String>| {
+    let mut out = format!("\n=== {title} ===\n");
+    let mut line = |cells: &[String]| {
         let mut s = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            s.push_str(&format!("{:<w$}  ", c, w = widths[i]));
+        for (c, w) in cells.iter().zip(&widths) {
+            s.push_str(&format!("{c:<w$}  "));
         }
-        println!("{}", s.trim_end());
+        out.push_str(s.trim_end());
+        out.push('\n');
     };
-    line(headers.iter().map(|h| h.to_string()).collect());
-    line(widths.iter().map(|w| "-".repeat(*w)).collect());
+    line(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>());
+    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
     for row in rows {
-        line(row.clone());
+        line(row);
     }
+    out
 }
 
 /// Announces the scale of a bench run.
@@ -352,11 +305,5 @@ mod tests {
         }
         let out = App::DfsSockets.run_with(2, DesignConfig::default(), &quiet);
         assert!(out.elapsed > 0);
-    }
-
-    #[test]
-    fn pct_increase_math() {
-        assert_eq!(pct_increase(100, 150), 50.0);
-        assert_eq!(pct_increase(200, 200), 0.0);
     }
 }

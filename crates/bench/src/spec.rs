@@ -6,9 +6,9 @@
 //! [`Scale`] and a workload seed. Specs are plain `Send` data — the
 //! `shrimp-harness` sweep runner shards them across worker threads —
 //! and [`RunSpec::execute`] builds the cluster, runs the application and
-//! returns the deterministic [`RunRecord`] metrics. The per-table bench
-//! binaries are thin wrappers over the same specs, so a number printed
-//! by `cargo bench` and a row in `results/sweep.json` come from the
+//! returns the deterministic [`RunRecord`] metrics. The harness prints
+//! the paper's tables from the same records it writes to
+//! `results/sweep.json`, so a table cell and a sweep row come from the
 //! identical run.
 
 use shrimp_apps::barnes::{run_barnes_nx, run_barnes_svm, BarnesParams};
@@ -300,6 +300,22 @@ impl Variant {
             Variant::ForcedAu => "forced-au",
         }
     }
+
+    /// The explicit version `self` runs on `app`: [`Variant::Default`]
+    /// becomes AURC for the SVM applications and deliberate update for the
+    /// VMMC and NX ones; every other pairing is returned as is. Two specs
+    /// with equal resolved variants run the same version.
+    pub fn resolve(self, app: App) -> Variant {
+        match (self, app) {
+            (Variant::Default, App::BarnesSvm | App::OceanSvm | App::RadixSvm) => {
+                Variant::Protocol(Protocol::Aurc)
+            }
+            (Variant::Default, App::RadixVmmc | App::BarnesNx | App::OceanNx) => {
+                Variant::Mechanism(Mechanism::DeliberateUpdate)
+            }
+            (v, _) => v,
+        }
+    }
 }
 
 /// Design knobs flipped relative to the machine as built. `None`/`false`
@@ -438,12 +454,6 @@ impl RunSpec {
     /// Builder: application version.
     pub fn with_variant(mut self, variant: Variant) -> Self {
         self.variant = variant;
-        self
-    }
-
-    /// Builder: cluster size.
-    pub fn with_nodes(mut self, nodes: usize) -> Self {
-        self.nodes = nodes;
         self
     }
 
@@ -788,17 +798,15 @@ impl RunSpec {
     }
 
     fn protocol(&self) -> Protocol {
-        match self.variant {
+        match self.variant.resolve(self.app) {
             Variant::Protocol(p) => p,
-            Variant::Default => Protocol::Aurc,
             v => panic!("variant {v:?} does not apply to {}", self.app.name()),
         }
     }
 
     fn mechanism(&self) -> Mechanism {
-        match self.variant {
+        match self.variant.resolve(self.app) {
             Variant::Mechanism(m) => m,
-            Variant::Default => Mechanism::DeliberateUpdate,
             v => panic!("variant {v:?} does not apply to {}", self.app.name()),
         }
     }

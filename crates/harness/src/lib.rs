@@ -8,8 +8,10 @@
 //! wedged or crashing configuration costs a row, not the sweep.
 //!
 //! Results aggregate into `results/sweep.json` ([`sweep`], simulated
-//! metrics only — byte-identical across worker counts) plus a
-//! human-readable comparison table, and the [`gate`] diffs fresh runs
+//! metrics only — byte-identical across worker counts), and the sweep
+//! prints the paper's tables from the same results ([`report`]: Fig 3,
+//! Fig 4, Tables 2–4 and §4.5.1–4.5.3, with the checksum agreement those
+//! comparisons need). The [`gate`] diffs fresh runs
 //! against committed golden metrics in `results/baselines/*.json` with
 //! per-metric tolerance bands, exiting non-zero on regression. With
 //! `--perf`, host wall-clock and simulator events/sec samples land in
@@ -28,6 +30,7 @@ pub mod chrome;
 pub mod gate;
 pub mod json;
 pub mod perf;
+pub mod report;
 pub mod runner;
 pub mod sweep;
 

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use shrimp_bench::{matrix, Scale};
 use shrimp_harness::runner::{run_sweep_with_progress, RunnerOptions};
-use shrimp_harness::{chrome, gate, json, perf, sweep};
+use shrimp_harness::{chrome, gate, json, perf, report, sweep};
 
 const USAGE: &str = "\
 shrimp-harness — parallel experiment sweep with baseline regression gating
@@ -67,7 +67,8 @@ FLAGS:
 
 EXIT STATUS:
   0  sweep completed, gate passed (or not applicable)
-  1  a run failed (panic/timeout) or the gate found a regression
+  1  a run failed (panic/timeout), two runs that must agree computed
+     different checksums, or the gate found a regression
   2  usage error";
 
 struct Cli {
@@ -277,7 +278,8 @@ fn main() -> ExitCode {
         eprintln!("error: writing {}: {e}", out_path.display());
         return ExitCode::from(2);
     }
-    print!("{}", sweep::render_table(&results));
+    let report = report::render(&results, nodes);
+    print!("{}", report.text);
     println!("\nwrote {}", out_path.display());
 
     // Every warm row forks from the same warmup fingerprint, so their
@@ -378,6 +380,9 @@ fn main() -> ExitCode {
     if failed > 0 {
         println!("{failed} run(s) failed (panic/timeout)");
     }
+    // Runs that must agree but computed different checksums fail the
+    // sweep like a failed run.
+    let failed = failed + report.mismatches.len();
 
     let baseline_path = cli.baseline.clone().unwrap_or_else(|| {
         results_dir()

@@ -1,5 +1,5 @@
 //! Sweep artifact: the flat row schema written to `results/sweep.json`
-//! and the committed baselines, plus the human-readable comparison table.
+//! and the committed baselines.
 //!
 //! Rows contain **simulated, deterministic quantities only** — no
 //! wall-clock, no dates, no host information — so the file is
@@ -10,7 +10,6 @@ use std::fmt::Write as _;
 
 use shrimp_bench::Observation;
 use shrimp_sim::metrics::{HistogramSnapshot, MetricValue};
-use shrimp_sim::time;
 
 use crate::json::escape;
 use crate::runner::{RunResult, RunStatus};
@@ -114,52 +113,6 @@ fn write_histogram(out: &mut String, h: &HistogramSnapshot) {
     out.push_str("]}");
 }
 
-/// Renders the human-readable comparison table: one section per
-/// experiment group, one line per run, simulated time plus headline
-/// counters.
-pub fn render_table(results: &[RunResult]) -> String {
-    let mut out = String::new();
-    let mut current = "";
-    for r in results {
-        if r.spec.experiment != current {
-            current = r.spec.experiment;
-            let _ = writeln!(out, "\n== {current} ==");
-            let _ = writeln!(
-                out,
-                "{:<44} {:>10} {:>10} {:>8} {:>10} {:>8}",
-                "run", "sim(s)", "messages", "intr", "net-pkts", "status"
-            );
-        }
-        match &r.status {
-            RunStatus::Ok(m) => {
-                let _ = writeln!(
-                    out,
-                    "{:<44} {:>10.3} {:>10} {:>8} {:>10} {:>8}",
-                    r.spec.id(),
-                    time::to_secs(m.elapsed),
-                    m.messages,
-                    m.interrupts,
-                    m.net_packets,
-                    "ok"
-                );
-            }
-            status => {
-                let _ = writeln!(
-                    out,
-                    "{:<44} {:>10} {:>10} {:>8} {:>10} {:>8}",
-                    r.spec.id(),
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                    status.label()
-                );
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,12 +158,5 @@ mod tests {
         for needle in ["wall", "date", "host"] {
             assert!(!text.contains(needle), "artifact leaks '{needle}'");
         }
-    }
-
-    #[test]
-    fn table_groups_by_experiment() {
-        let text = render_table(&fake_results());
-        assert!(text.contains("== test =="));
-        assert!(text.contains("panic"));
     }
 }

@@ -57,6 +57,7 @@ fn main() {
         "\nAutomatic update's latency advantage shows at small messages and\n\
          fades with size. In applications deliberate update wins bulk anyway\n\
          (the paper's §4.2): its DMA overlaps computation, while every AU\n\
-         word costs CPU — run `cargo bench --bench fig4_du_au` to see it."
+         word costs CPU. To see it, run\n\
+         cargo run --release -p shrimp-harness -- --experiment fig4-du-au"
     );
 }
